@@ -20,12 +20,11 @@ def main() -> None:
     for sid in SEMANTICS_IDS:
         ref = SemanticsRef(sid)
         try:
-            ranking = ref.ranking(framework)
+            ranking, scores = ref.scored_ranking(framework)
         except CyclicFrameworkError as exc:
             print(f"{sid:9s} not applicable ({exc})")
             continue
         line = f"{sid:9s} {ranking_text(ranking)}"
-        scores = ref.scores(framework)
         if scores:
             line += "   [" + ", ".join(f"{a}={scores[a]:.3f}" for a in sorted(scores)) + "]"
         print(line)

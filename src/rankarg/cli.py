@@ -49,8 +49,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=0.1,
                         help="attenuation for the social-product scores (default 0.1)")
     parser.add_argument("--tol", type=float, default=1e-12,
-                        help="fixed-point stopping tolerance")
-    parser.add_argument("--max-iter", type=int, default=10_000)
+                        help="largest fixed-point residual max|x - F(x)| a solve may stop at")
+    parser.add_argument("--max-iter", type=int, default=10_000,
+                        help="most fixed-point steps a cat/saf solve may take")
     parser.add_argument("--lex-depth", type=int, default=None,
                         help="step-vector truncation depth (default 2*|A|+2)")
     parser.add_argument("--mt-cap", type=int, default=14,
@@ -96,9 +97,7 @@ def ranking_text(ranking: Ranking) -> str:
 
 
 def output_record(sid: str, cfg: SolverConfig, framework: ArgFramework) -> dict:
-    ref = SemanticsRef(sid, cfg)
-    ranking = ref.ranking(framework)
-    scores = ref.scores(framework)
+    ranking, scores = SemanticsRef(sid, cfg).scored_ranking(framework)
     return {
         "semantics": sid,
         "config": {"epsilon": cfg.epsilon, "tol": cfg.tol, "max_iter": cfg.max_iter,
@@ -114,12 +113,10 @@ def cmd_rank(args) -> int:
     if args.semantics not in SEMANTICS_IDS:
         raise ApxError(f"unknown semantics {args.semantics!r}; pick one of {SEMANTICS_IDS}")
     cfg = _config(args)
-    record = output_record(args.semantics, cfg, framework)
     if args.format == "json":
-        print(json.dumps(record, indent=2))
+        print(json.dumps(output_record(args.semantics, cfg, framework), indent=2))
     else:
-        ref = SemanticsRef(args.semantics, cfg)
-        print(ranking_text(ref.ranking(framework)))
+        print(ranking_text(SemanticsRef(args.semantics, cfg).ranking(framework)))
     return EXIT_OK
 
 

@@ -26,9 +26,12 @@ SEMANTICS_IDS = ("cat", "saf", "dbs", "bbs", "tuples", "mt", "grounded")
 # of small games differ by rational gaps orders of magnitude above 1e-6.
 MT_TIE_TOL = 1e-6
 
+#: Tie tolerance of each score-based ranking.
+SCORE_TIE_TOL = {"cat": 1e-9, "saf": 1e-9, "mt": MT_TIE_TOL}
+
 
 class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of iterations before reaching tol."""
+    """A fixed-point solve used up max_iter steps with its residual above tol."""
 
 
 class SizeCapExceededError(ValueError):
@@ -39,6 +42,8 @@ class SizeCapExceededError(ValueError):
 class SolverConfig:
     """Numeric knobs shared by all semantics.
 
+    ``tol`` bounds the fixed-point residual max|x - F(x)| at which a cat or
+    saf solve stops, and ``max_iter`` bounds its steps (see _solve_fixpoint).
     ``lex_depth`` of None means "2*|A| + 2 for the framework at hand", which
     is exact for walk-count comparisons on acyclic graphs and a documented
     cutoff on cyclic ones.
@@ -61,42 +66,107 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def _iterate_to_fixpoint(framework, start, step, cfg, label):
-    """Synchronous iteration, falling back to damped restarts.
+#: Damped map steps taken before Newton starts, and the first weight a damped
+#: step gives the map's value: x <- x + damping * (F(x) - x).
+_WARMUP_STEPS = 20
+_DAMPING = 0.5
+#: Damped steps without a new lowest residual after which the damping halves.
+_STALL_STEPS = 10
+#: Step halvings the Newton line search tries before it gives up.
+_LINE_SEARCH_HALVINGS = 10
+#: Largest dense Jacobian (8 * n * n bytes) a Newton step may allocate;
+#: np.linalg.solve takes one more copy of the same size.  The default admits
+#: n <= 2896; larger frameworks take damped steps only.
+_JACOBIAN_BUDGET_BYTES = 64 * 2**20
 
-    Dense attack cycles make the plain map oscillate (its linearisation can
-    exceed 1 in magnitude); averaging the update with the current point kills
-    the oscillation and reaches the same (unique) fixed point.  A stop at
-    max-change < tol keeps the defining-equation residual below tol/damping.
+
+def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
+    """Solve x = F(x) over sorted(arguments), starting from x = upper.
+
+    ``fmap(x, src, dst)`` evaluates F, where attack k runs from argument
+    src[k] to argument dst[k].  ``slopes(x, fx, src, dst)`` gives
+    -dF[dst]/dx[src] for every attack; the Jacobian of x - F(x) is the
+    identity plus these entries.  Iterates stay in the box [0, upper], where
+    F is defined and which F maps into.
+
+    The first _WARMUP_STEPS steps are damped map steps.  Every later step is
+    a Newton step on x - F(x) with a backtracking line search, or a damped
+    map step when Newton is unavailable: the Jacobian is singular, the line
+    search finds no decrease, or the Jacobian exceeds _JACOBIAN_BUDGET_BYTES.
+    After _STALL_STEPS damped steps in a row without a new lowest residual
+    the damping halves, which stops the oscillation of dense attack cycles.
+    The solve stops once the residual max|x - F(x)| is at most cfg.tol, and
+    raises NonConvergenceError when cfg.max_iter steps of any kind have not
+    got there.
     """
-    stages = ((1.0, cfg.max_iter // 4), (0.5, cfg.max_iter // 2),
-              (0.2, cfg.max_iter - 3 * (cfg.max_iter // 4)))
-    for damping, budget in stages:
-        scores = {a: start for a in framework.arguments}
-        for _ in range(budget):
-            stepped = step(scores)
-            new = {a: (1 - damping) * scores[a] + damping * stepped[a] for a in stepped}
-            delta = max((abs(new[a] - scores[a]) for a in new), default=0.0)
-            scores = new
-            if delta < cfg.tol:
-                return scores
-    raise NonConvergenceError(f"{label} did not converge within {cfg.max_iter} iterations")
+    names = sorted(framework.arguments)
+    index = {a: i for i, a in enumerate(names)}
+    # Sorted by target, then attacker: bincount then sums each attacker set in
+    # name order, so the scores do not depend on set iteration order.
+    edges = np.array(sorted((index[b], index[a]) for a, b in framework.attacks),
+                     dtype=np.intp).reshape(-1, 2)
+    dst, src = edges[:, 0], edges[:, 1]
+    n = len(names)
+    newton_fits = 8 * n * n <= _JACOBIAN_BUDGET_BYTES
+
+    x = np.full(n, upper)
+    fx = fmap(x, src, dst)
+    residual = np.max(np.abs(x - fx), initial=0.0)
+    damping, best, stalled = _DAMPING, residual, 0
+    steps = 0
+    while residual > cfg.tol:
+        if steps >= cfg.max_iter:
+            raise NonConvergenceError(
+                f"{label} did not converge within {steps} iterations (residual {residual:.1e})")
+        steps += 1
+        found = None
+        if newton_fits and steps > _WARMUP_STEPS:
+            found = _newton_step(x, fx, residual, upper, fmap, slopes, src, dst)
+        if found is None:
+            x = x + damping * (fx - x)
+            fx = fmap(x, src, dst)
+            residual = np.max(np.abs(x - fx))
+            best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+            if stalled == _STALL_STEPS:
+                damping, stalled = damping * 0.5, 0
+        else:
+            x, fx, residual = found
+    return dict(zip(names, x.tolist()))
+
+
+def _newton_step(x, fx, residual, upper, fmap, slopes, src, dst):
+    """(x, F(x), residual) after one Newton step, or None if none helps."""
+    n = len(x)
+    jacobian = np.zeros((n, n))
+    jacobian[dst, src] = slopes(x, fx, src, dst)
+    jacobian.flat[::n + 1] += 1.0
+    try:
+        direction = np.linalg.solve(jacobian, fx - x)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(direction)):
+        return None
+    step = 1.0
+    for _ in range(_LINE_SEARCH_HALVINGS):
+        trial = np.clip(x + step * direction, 0.0, upper)
+        f_trial = fmap(trial, src, dst)
+        trial_residual = np.max(np.abs(trial - f_trial))
+        if trial_residual < residual:
+            return trial, f_trial, trial_residual
+        step *= 0.5
+    return None
 
 
 def categoriser_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, float]:
     """Fixed point of a -> 1/(1 + sum of attacker scores); unattacked pinned to 1."""
 
-    def step(cur):
-        out = {}
-        for a in framework.arguments:
-            attackers = framework.attackers(a)
-            if not attackers:
-                out[a] = 1.0
-            else:
-                out[a] = 1.0 / (1.0 + sum(cur[b] for b in sorted(attackers)))
-        return out
+    def fmap(x, src, dst):
+        return 1.0 / (1.0 + np.bincount(dst, weights=x[src], minlength=len(x)))
 
-    return _iterate_to_fixpoint(framework, 1.0, step, cfg, "categoriser")
+    def slopes(x, fx, src, dst):
+        return fx[dst] ** 2
+
+    return _solve_fixpoint(framework, 1.0, fmap, slopes, cfg, "categoriser")
 
 
 def categoriser_residual(framework: ArgFramework, scores: dict[str, float]) -> float:
@@ -109,7 +179,7 @@ def categoriser_residual(framework: ArgFramework, scores: dict[str, float]) -> f
 
 
 def categoriser_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_scores(categoriser_scores(framework, cfg), "higher")
+    return ranking_from_scores(categoriser_scores(framework, cfg), "higher", tol=SCORE_TIE_TOL["cat"])
 
 
 def _prob_sum(values: Iterable[float]) -> float:
@@ -129,13 +199,13 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
         raise ValueError("epsilon must be positive")
     tau = 1.0 / (1.0 + cfg.epsilon)
 
-    def step(cur):
-        return {
-            a: tau * (1.0 - _prob_sum(cur[b] for b in sorted(framework.attackers(a))))
-            for a in framework.arguments
-        }
+    def fmap(x, src, dst):
+        return tau * np.exp(np.bincount(dst, weights=np.log1p(-x[src]), minlength=len(x)))
 
-    return _iterate_to_fixpoint(framework, tau, step, cfg, "social model")
+    def slopes(x, fx, src, dst):
+        return fx[dst] / (1.0 - x[src])
+
+    return _solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")
 
 
 def saf_residual(framework: ArgFramework, scores: dict[str, float], cfg: SolverConfig = DEFAULT_CONFIG) -> float:
@@ -148,7 +218,7 @@ def saf_residual(framework: ArgFramework, scores: dict[str, float], cfg: SolverC
 
 
 def saf_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_scores(saf_scores(framework, cfg), "higher")
+    return ranking_from_scores(saf_scores(framework, cfg), "higher", tol=SCORE_TIE_TOL["saf"])
 
 
 def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
@@ -259,12 +329,6 @@ def tuples_ranking(framework: ArgFramework) -> Ranking:
     return Ranking(names, pairs, validate=True)
 
 
-def _subset_masks(universe_bits: int, member_bit: int | None = None):
-    for mask in range(1 << universe_bits):
-        if member_bit is None or mask & member_bit:
-            yield mask
-
-
 def mt_reward_matrix(framework: ArgFramework, name: str):
     """Reward matrix of the proponent/opponent subset game for one argument.
 
@@ -325,7 +389,7 @@ def mt_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> di
 
 
 def mt_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_scores(mt_scores(framework, cfg), "higher", tol=MT_TIE_TOL)
+    return ranking_from_scores(mt_scores(framework, cfg), "higher", tol=SCORE_TIE_TOL["mt"])
 
 
 def grounded_labelling(framework: ArgFramework) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
@@ -395,6 +459,14 @@ class SemanticsRef:
         if self.sid == "mt":
             return mt_scores(framework, self.cfg)
         return None
+
+    def scored_ranking(self, framework: ArgFramework) -> tuple[Ranking, dict[str, float] | None]:
+        """The ranking together with the scores it comes from (None for the
+        semantics without scores), from one solve."""
+        scores = self.scores(framework)
+        if scores is None:
+            return self.ranking(framework), None
+        return ranking_from_scores(scores, "higher", tol=SCORE_TIE_TOL[self.sid]), scores
 
     def ranking(self, framework: ArgFramework) -> Ranking:
         if self.sid == "cat":

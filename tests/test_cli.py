@@ -6,6 +6,7 @@ import pytest
 
 from rankarg.catalog import example1, figure2
 from rankarg.cli import main, ranking_text
+from rankarg import semantics
 from rankarg.framework import serialize_apx
 from rankarg.semantics import SemanticsRef
 
@@ -50,8 +51,13 @@ def test_rank_missing_file_exits_2(tmp_path):
     assert main(["rank", str(tmp_path / "nope.apx"), "cat"]) == 2
 
 
-def test_rank_json_round_trip(ex1_path, capsys):
+def test_rank_json_round_trip(ex1_path, capsys, monkeypatch):
+    solves = []
+    solve = semantics.categoriser_scores
+    monkeypatch.setattr(semantics, "categoriser_scores",
+                        lambda framework, cfg: solves.append(cfg) or solve(framework, cfg))
     assert main(["rank", ex1_path, "cat", "--format", "json"]) == 0
+    assert len(solves) == 1  # ranking and scores come from one solve
     record = json.loads(capsys.readouterr().out)
     assert record["semantics"] == "cat"
     assert record["classes"] == [["b"], ["d"], ["e"], ["c"], ["a"]]

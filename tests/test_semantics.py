@@ -96,7 +96,9 @@ def test_cat_two_cycle_golden_ratio(cycle2):
 
 
 def test_cat_nonconvergence_raises(ex1):
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError,
+                       match=r"^categoriser did not converge within 2 iterations "
+                             r"\(residual \d\.\de[-+]\d\d\)$"):
         categoriser_scores(ex1, SolverConfig(max_iter=2))
 
 
