@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from functools import partial
+from itertools import chain, combinations, product
+from typing import Callable, Iterable
 
 from .framework import (
     ArgFramework,
@@ -27,13 +29,8 @@ from .framework import (
     rename,
     walk_counts,
 )
-from .orders import group_geq, group_gt
-from .semantics import (
-    NonConvergenceError,
-    SemanticsRef,
-    SizeCapExceededError,
-    cached_ranking,
-)
+from .orders import Ranking, group_geq, group_gt
+from .semantics import NonConvergenceError, SemanticsRef, SizeCapExceededError
 
 
 class PropertyId(str, Enum):
@@ -174,9 +171,16 @@ def branch_roots(framework: ArgFramework) -> dict[str, tuple[frozenset[str], fro
     return {a: (frozenset(even), frozenset(odd)) for a, (even, odd) in result.items()}
 
 
+#: Length of the defense branch that +DB!, +DB, ^AB and ^DB graft, of the
+#: attack branch that +AB grafts, and the number of renamings Abs tries.
+DEFENSE_LENGTH = 2
+ATTACK_LENGTH = 1
+ABS_TRIALS = 5
+
+
 def _ranking_or_verdict(sem: SemanticsRef, framework: ArgFramework):
     try:
-        return cached_ranking(sem, framework), None
+        return sem.ranking(framework), None
     except CyclicFrameworkError as exc:
         return None, _na(f"semantics undefined here: {exc}")
     except NonConvergenceError as exc:
@@ -194,131 +198,122 @@ def _pairs(names: Iterable[str]):
 
 
 def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
-          seed: int = 0, defense_length: int = 2, attack_length: int = 1,
-          abs_trials: int = 5) -> PropertyVerdict:
-    """Verdict of one property on one framework under one semantics."""
+          seed: int = 0, rankings: dict | None = None) -> PropertyVerdict:
+    """Verdict of one property on one framework under one semantics.
+
+    ``rankings`` memoises, per (SemanticsRef, ArgFramework) key, the
+    (ranking, stop verdict) pair of that solve; a refused solve is stored
+    too.  Checks that share one dict solve each key once, so pass the same
+    dict to every property of one (framework, semantics) pair.
+    """
     if not framework.arguments:
         return _na("empty framework")
+    memo = {} if rankings is None else rankings
+
+    def rank(f: ArgFramework, sem: SemanticsRef = sem):
+        key = (sem, f)
+        if key not in memo:
+            memo[key] = _ranking_or_verdict(sem, f)
+        return memo[key]
+
     checker = _CHECKERS[prop]
-    return checker(framework, sem, seed=seed, defense_length=defense_length,
-                   attack_length=attack_length, abs_trials=abs_trials)
+    if isinstance(checker, PairRule):
+        return _check_pairs(prop, checker, framework, sem.sid, rank)
+    return checker(framework, sem, rank, seed)
 
 
-def _check_vp(framework, sem, **_):
-    unattacked = sorted(framework.unattacked())
-    attacked = sorted(framework.arguments - framework.unattacked())
-    if not unattacked or not attacked:
-        return _na("needs both unattacked and attacked arguments")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a in unattacked:
-        for b in attacked:
-            if not ranking.strict(a, b):
-                return _violated(framework, PropertyId.VP, sem.sid, (a, b),
-                                 note=f"unattacked {a} not strictly above attacked {b}")
+@dataclass(frozen=True)
+class PairRule:
+    """A property that demands ``relation(ranking, a, b)`` of each premise pair.
+
+    ``premise(framework, ranking)`` yields the ordered pairs (a, b) in the
+    order they are checked, or returns the reason the property does not
+    apply.  It receives the ranking only when ``reads_ranking`` is set, and
+    None otherwise.  ``na`` is the reason given when no pair is yielded, and
+    ``note(framework, ranking, a, b)`` explains the first refused pair.
+    """
+
+    premise: Callable
+    reads_ranking: bool
+    relation: Callable[[Ranking, str, str], bool]
+    na: str
+    note: Callable[[ArgFramework, Ranking, str, str], str]
+
+
+def _check_pairs(prop, rule, framework, sid, rank):
+    """The first premise pair the ranking refuses is the witness.
+
+    A structural premise is evaluated before the solve, so a premise that
+    never fires is NotApplicable even where the semantics cannot rank.
+    """
+    ranking = None
+    if rule.reads_ranking:
+        ranking, stop = rank(framework)
+        if stop:
+            return stop
+    pairs = rule.premise(framework, ranking)
+    if isinstance(pairs, str):
+        return _na(pairs)
+    first = next(pairs, None)
+    if first is None:
+        return _na(rule.na)
+    if ranking is None:
+        ranking, stop = rank(framework)
+        if stop:
+            return stop
+    for a, b in chain([first], pairs):
+        if not rule.relation(ranking, a, b):
+            return _violated(framework, prop, sid, (a, b),
+                             note=rule.note(framework, ranking, a, b))
     return _holds()
 
 
-def _check_sc(framework, sem, **_):
-    selfish = sorted(framework.self_attacking())
-    clean = sorted(framework.arguments - framework.self_attacking())
-    if not selfish or not clean:
-        return _na("needs both self-attacking and non-self-attacking arguments")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a in clean:
-        for b in selfish:
-            if not ranking.strict(a, b):
-                return _violated(framework, PropertyId.SC, sem.sid, (a, b),
-                                 note=f"{a} not strictly above self-attacker {b}")
-    return _holds()
+def _vp_premise(framework, _):
+    unattacked = framework.unattacked()
+    return product(sorted(unattacked), sorted(framework.arguments - unattacked))
 
 
-def _check_cp(framework, sem, **_):
-    instances = [(a, b) for a, b in _pairs(framework.arguments)
-                 if len(framework.attackers(a)) < len(framework.attackers(b))]
-    if not instances:
-        return _na("no pair with strictly fewer direct attackers")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a, b in instances:
-        if not ranking.strict(a, b):
-            return _violated(framework, PropertyId.CP, sem.sid, (a, b),
-                             note=f"{a} has fewer attackers than {b} but is not strictly above")
-    return _holds()
+def _sc_premise(framework, _):
+    selfish = framework.self_attacking()
+    return product(sorted(framework.arguments - selfish), sorted(selfish))
 
 
-def _check_qp(framework, sem, **_):
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    applicable = False
-    for a, b in _pairs(framework.arguments):
-        att_a = framework.attackers(a)
-        if not att_a:
-            # the dominated side must actually have attackers to dominate;
-            # reading the empty case as vacuous would fold VP into QP
-            continue
-        witnesses = [c for c in framework.attackers(b)
-                     if all(ranking.strict(c, d) for d in att_a)]
-        if not witnesses:
-            continue
-        applicable = True
-        if not ranking.strict(a, b):
-            c = sorted(witnesses)[0]
-            return _violated(framework, PropertyId.QP, sem.sid, (a, b),
-                             note=f"attacker {c} of {b} beats every attacker of {a}, "
-                                  f"yet {a} is not strictly above {b}")
-    return _holds() if applicable else _na("no pair with a dominating attacker")
+def _cp_premise(framework, _):
+    return ((a, b) for a, b in _pairs(framework.arguments)
+            if len(framework.attackers(a)) < len(framework.attackers(b)))
 
 
-def _check_ct(framework, sem, strict=False, **_):
-    prop = PropertyId.SCT if strict else PropertyId.CT
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    compare = group_gt if strict else group_geq
-    applicable = False
-    for a, b in _pairs(framework.arguments):
-        if not compare(framework.attackers(b), framework.attackers(a), ranking):
-            continue
-        applicable = True
-        ok = ranking.strict(a, b) if strict else ranking.geq(a, b)
-        if not ok:
-            kind = "strict group comparison" if strict else "group comparison"
-            return _violated(framework, prop, sem.sid, (a, b),
-                             note=f"attackers of {b} win the {kind} against attackers of {a}")
-    return _holds() if applicable else _na("group-comparison premise never fires")
+def _dominators(framework, ranking, a, b):
+    """Attackers of b strictly above every attacker of a."""
+    att_a = framework.attackers(a)
+    return [c for c in framework.attackers(b) if all(ranking.strict(c, d) for d in att_a)]
 
 
-def _check_sct(framework, sem, **kw):
-    return _check_ct(framework, sem, strict=True, **kw)
+def _qp_premise(framework, ranking):
+    # the dominated side must actually have attackers to dominate; reading
+    # the empty case as vacuous would fold VP into QP
+    return ((a, b) for a, b in _pairs(framework.arguments)
+            if framework.attackers(a) and _dominators(framework, ranking, a, b))
 
 
-def _check_dp(framework, sem, **_):
+def _group_premise(strict):
+    def premise(framework, ranking):
+        compare = group_gt if strict else group_geq
+        return ((a, b) for a, b in _pairs(framework.arguments)
+                if compare(framework.attackers(b), framework.attackers(a), ranking))
+    return premise
+
+
+def _dp_premise(framework, _):
     table = walk_counts(framework, 2)
     defended = {a for a in framework.arguments if table.count_in(a, 2) > 0}
-    instances = [(a, b) for a, b in _pairs(framework.arguments)
-                 if len(framework.attackers(a)) == len(framework.attackers(b))
-                 and a in defended and b not in defended]
-    if not instances:
-        return _na("no equal-attack pair splitting on defense")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a, b in instances:
-        if not ranking.strict(a, b):
-            return _violated(framework, PropertyId.DP, sem.sid, (a, b),
-                             note=f"defended {a} not strictly above undefended {b}")
-    return _holds()
+    return ((a, b) for a, b in _pairs(framework.arguments)
+            if len(framework.attackers(a)) == len(framework.attackers(b))
+            and a in defended and b not in defended)
 
 
-def _check_ddp(framework, sem, **_):
+def _ddp_premise(framework, _):
     table = walk_counts(framework, 2)
-    instances = []
     for a, b in _pairs(framework.arguments):
         if len(framework.attackers(a)) != len(framework.attackers(b)):
             continue
@@ -326,76 +321,27 @@ def _check_ddp(framework, sem, **_):
             continue
         if (defense_is_simple(framework, a) and defense_is_distributed(framework, a)
                 and defense_is_simple(framework, b) and not defense_is_distributed(framework, b)):
-            instances.append((a, b))
-    if not instances:
-        return _na("no simple/distributed split with matching counts")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a, b in instances:
-        if not ranking.strict(a, b):
-            return _violated(framework, PropertyId.DDP, sem.sid, (a, b),
-                             note=f"distributed defense of {a} not rewarded over {b}")
-    return _holds()
+            yield a, b
 
 
-def _check_tot(framework, sem, **_):
-    if len(framework.arguments) < 2:
-        return _na("needs at least two arguments")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a, b in _pairs(framework.arguments):
-        if ranking.incomparable(a, b):
-            return _violated(framework, PropertyId.TOT, sem.sid, (a, b),
-                             note=f"{a} and {b} are incomparable")
-    return _holds()
-
-
-def _check_nae(framework, sem, **_):
-    unattacked = sorted(framework.unattacked())
-    if len(unattacked) < 2:
-        return _na("fewer than two unattacked arguments")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for i, a in enumerate(unattacked):
-        for b in unattacked[i + 1:]:
-            if not ranking.equivalent(a, b):
-                return _violated(framework, PropertyId.NAE, sem.sid, (a, b),
-                                 note=f"unattacked {a} and {b} not equivalent")
-    return _holds()
-
-
-def _check_avsfd(framework, sem, **_):
+def _avsfd_premise(framework, _):
     if has_cycle(framework):
-        return _na("premise requires an acyclic framework")
+        return "premise requires an acyclic framework"
     profiles = branch_profiles(framework)
     table = walk_counts(framework, 2)
     no_attack_branch = [a for a in sorted(framework.arguments) if not profiles[a].attack_lengths]
     lone_target = [b for b in sorted(framework.arguments)
                    if len(framework.attackers(b)) == 1 and table.count_in(b, 2) == 0]
-    instances = [(a, b) for a in no_attack_branch for b in lone_target if a != b]
-    if not instances:
-        return _na("no (fully defended, singly attacked) pair")
-    ranking, stop = _ranking_or_verdict(sem, framework)
-    if stop:
-        return stop
-    for a, b in instances:
-        if not ranking.strict(a, b):
-            return _violated(framework, PropertyId.AVSFD, sem.sid, (a, b),
-                             note=f"attack-branch-free {a} not above singly-attacked {b}")
-    return _holds()
+    return ((a, b) for a in no_attack_branch for b in lone_target if a != b)
 
 
-def _check_in(framework, sem, **_):
-    components = connected_components(framework)
+def _check_in(framework, sem, rank, _seed):
     pinned = sem.pinned_to(framework)
-    whole, stop = _ranking_or_verdict(pinned, framework)
+    whole, stop = rank(framework, sem=pinned)
     if stop:
         return stop
-    for comp in components:
-        part, stop = _ranking_or_verdict(pinned, comp)
+    for comp in connected_components(framework):
+        part, stop = rank(comp, sem=pinned)
         if stop:
             return stop
         for a, b in _pairs(comp.arguments):
@@ -405,18 +351,17 @@ def _check_in(framework, sem, **_):
     return _holds()
 
 
-def _check_abs(framework, sem, seed=0, abs_trials=5, **_):
-    ranking, stop = _ranking_or_verdict(sem, framework)
+def _check_abs(framework, sem, rank, seed):
+    ranking, stop = rank(framework)
     if stop:
         return stop
     rng = random.Random(seed * 0x9E3779B1 + int(framework_key(framework), 16))
     names = sorted(framework.arguments)
-    for _ in range(abs_trials):
+    for _ in range(ABS_TRIALS):
         fresh = [f"v{i}" for i in range(len(names))]
         rng.shuffle(fresh)
         gamma = dict(zip(names, fresh))
-        renamed = rename(framework, gamma)
-        other, stop = _ranking_or_verdict(sem, renamed)
+        other, stop = rank(rename(framework, gamma))
         if stop:
             return stop
         for a, b in _pairs(names):
@@ -433,15 +378,15 @@ def _grafted_clone(framework, target, kind, length):
     return graft_branch(merged, gamma[target], kind, length), gamma
 
 
-def _check_branch_addition(framework, sem, prop, *, only_attacked, kind, length,
-                           improved_is_clone):
+def _check_branch_addition(framework, sem, rank, _seed, *, prop, only_attacked, kind,
+                           length, improved_is_clone):
     todo = sorted(a for a in framework.arguments
                   if not only_attacked or framework.is_attacked(a))
     if not todo:
         return _na("no argument satisfies the premise")
     for a in todo:
         star, gamma = _grafted_clone(framework, a, kind, length)
-        ranking, stop = _ranking_or_verdict(sem, star)
+        ranking, stop = rank(star)
         if stop:
             return stop
         better, worse = (gamma[a], a) if improved_is_clone else (a, gamma[a])
@@ -452,25 +397,7 @@ def _check_branch_addition(framework, sem, prop, *, only_attacked, kind, length,
     return _holds()
 
 
-def _check_plus_db_strict(framework, sem, defense_length=2, **_):
-    return _check_branch_addition(framework, sem, PropertyId.PLUS_DB_STRICT,
-                                  only_attacked=False, kind="defense",
-                                  length=defense_length, improved_is_clone=True)
-
-
-def _check_plus_db(framework, sem, defense_length=2, **_):
-    return _check_branch_addition(framework, sem, PropertyId.PLUS_DB,
-                                  only_attacked=True, kind="defense",
-                                  length=defense_length, improved_is_clone=True)
-
-
-def _check_plus_ab(framework, sem, attack_length=1, **_):
-    return _check_branch_addition(framework, sem, PropertyId.PLUS_AB,
-                                  only_attacked=False, kind="attack",
-                                  length=attack_length, improved_is_clone=False)
-
-
-def _check_branch_increase(framework, sem, prop, defense_length):
+def _check_branch_increase(framework, sem, rank, _seed, *, prop):
     roots = branch_roots(framework)
     lengthen_attack = prop is PropertyId.INC_AB
     instances = []
@@ -483,9 +410,9 @@ def _check_branch_increase(framework, sem, prop, defense_length):
     star_cache: dict[str, tuple[ArgFramework, dict[str, str]]] = {}
     for a, b in instances:
         if b not in star_cache:
-            star_cache[b] = _grafted_clone(framework, b, "defense", defense_length)
+            star_cache[b] = _grafted_clone(framework, b, "defense", DEFENSE_LENGTH)
         star, gamma = star_cache[b]
-        ranking, stop = _ranking_or_verdict(sem, star)
+        ranking, stop = rank(star)
         if stop:
             return stop
         better, worse = (gamma[a], a) if lengthen_attack else (a, gamma[a])
@@ -496,33 +423,67 @@ def _check_branch_increase(framework, sem, prop, defense_length):
     return _holds()
 
 
-def _check_inc_ab(framework, sem, defense_length=2, **_):
-    return _check_branch_increase(framework, sem, PropertyId.INC_AB, defense_length)
-
-
-def _check_inc_db(framework, sem, defense_length=2, **_):
-    return _check_branch_increase(framework, sem, PropertyId.INC_DB, defense_length)
-
-
 _CHECKERS = {
     PropertyId.ABS: _check_abs,
     PropertyId.IN: _check_in,
-    PropertyId.VP: _check_vp,
-    PropertyId.DP: _check_dp,
-    PropertyId.CT: _check_ct,
-    PropertyId.SCT: _check_sct,
-    PropertyId.CP: _check_cp,
-    PropertyId.QP: _check_qp,
-    PropertyId.DDP: _check_ddp,
-    PropertyId.SC: _check_sc,
-    PropertyId.PLUS_DB_STRICT: _check_plus_db_strict,
-    PropertyId.PLUS_DB: _check_plus_db,
-    PropertyId.INC_AB: _check_inc_ab,
-    PropertyId.INC_DB: _check_inc_db,
-    PropertyId.PLUS_AB: _check_plus_ab,
-    PropertyId.TOT: _check_tot,
-    PropertyId.NAE: _check_nae,
-    PropertyId.AVSFD: _check_avsfd,
+    PropertyId.VP: PairRule(
+        _vp_premise, False, Ranking.strict,
+        "needs both unattacked and attacked arguments",
+        lambda f, r, a, b: f"unattacked {a} not strictly above attacked {b}"),
+    PropertyId.DP: PairRule(
+        _dp_premise, False, Ranking.strict,
+        "no equal-attack pair splitting on defense",
+        lambda f, r, a, b: f"defended {a} not strictly above undefended {b}"),
+    PropertyId.CT: PairRule(
+        _group_premise(strict=False), True, Ranking.geq,
+        "group-comparison premise never fires",
+        lambda f, r, a, b: f"attackers of {b} win the group comparison against attackers of {a}"),
+    PropertyId.SCT: PairRule(
+        _group_premise(strict=True), True, Ranking.strict,
+        "group-comparison premise never fires",
+        lambda f, r, a, b: f"attackers of {b} win the strict group comparison "
+                           f"against attackers of {a}"),
+    PropertyId.CP: PairRule(
+        _cp_premise, False, Ranking.strict,
+        "no pair with strictly fewer direct attackers",
+        lambda f, r, a, b: f"{a} has fewer attackers than {b} but is not strictly above"),
+    PropertyId.QP: PairRule(
+        _qp_premise, True, Ranking.strict,
+        "no pair with a dominating attacker",
+        lambda f, r, a, b: f"attacker {min(_dominators(f, r, a, b))} of {b} beats every "
+                           f"attacker of {a}, yet {a} is not strictly above {b}"),
+    PropertyId.DDP: PairRule(
+        _ddp_premise, False, Ranking.strict,
+        "no simple/distributed split with matching counts",
+        lambda f, r, a, b: f"distributed defense of {a} not rewarded over {b}"),
+    PropertyId.SC: PairRule(
+        _sc_premise, False, Ranking.strict,
+        "needs both self-attacking and non-self-attacking arguments",
+        lambda f, r, a, b: f"{a} not strictly above self-attacker {b}"),
+    PropertyId.PLUS_DB_STRICT: partial(
+        _check_branch_addition, prop=PropertyId.PLUS_DB_STRICT, only_attacked=False,
+        kind="defense", length=DEFENSE_LENGTH, improved_is_clone=True),
+    PropertyId.PLUS_DB: partial(
+        _check_branch_addition, prop=PropertyId.PLUS_DB, only_attacked=True,
+        kind="defense", length=DEFENSE_LENGTH, improved_is_clone=True),
+    PropertyId.INC_AB: partial(_check_branch_increase, prop=PropertyId.INC_AB),
+    PropertyId.INC_DB: partial(_check_branch_increase, prop=PropertyId.INC_DB),
+    PropertyId.PLUS_AB: partial(
+        _check_branch_addition, prop=PropertyId.PLUS_AB, only_attacked=False,
+        kind="attack", length=ATTACK_LENGTH, improved_is_clone=False),
+    PropertyId.TOT: PairRule(
+        lambda f, _: _pairs(f.arguments), False,
+        lambda r, a, b: not r.incomparable(a, b),
+        "needs at least two arguments",
+        lambda f, r, a, b: f"{a} and {b} are incomparable"),
+    PropertyId.NAE: PairRule(
+        lambda f, _: combinations(sorted(f.unattacked()), 2), False, Ranking.equivalent,
+        "fewer than two unattacked arguments",
+        lambda f, r, a, b: f"unattacked {a} and {b} not equivalent"),
+    PropertyId.AVSFD: PairRule(
+        _avsfd_premise, False, Ranking.strict,
+        "no (fully defended, singly attacked) pair",
+        lambda f, r, a, b: f"attack-branch-free {a} not above singly-attacked {b}"),
 }
 
 #: Instance-level consequences of the property interdependencies: if every
@@ -557,25 +518,6 @@ def audit_dependencies(verdicts: dict[PropertyId, PropertyVerdict],
                 names = " & ".join(p.value for p in antecedents)
                 problems.append(f"{names} hold but {consequent.value} is violated")
     return problems
-
-
-def verdict_record(prop: PropertyId, sem: SemanticsRef, framework: ArgFramework,
-                   verdict: PropertyVerdict) -> dict:
-    """Serializable report record for one check."""
-    from .framework import serialize_apx
-
-    record = {
-        "property": prop.value,
-        "semantics": sem.sid,
-        "framework": framework_key(framework),
-        "status": verdict.status.value,
-        "details": verdict.detail,
-    }
-    if verdict.witness is not None:
-        target = verdict.witness.constructed or verdict.witness.framework
-        record["witness_apx"] = serialize_apx(target)
-        record["witness_pair"] = list(verdict.witness.pair)
-    return record
 
 
 # --- incompatible property pairs ----------------------------------------

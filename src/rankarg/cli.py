@@ -1,8 +1,9 @@
 """Command-line front door: rank, survey, check, fuzz, witness.
 
-Exit codes: 0 success (check: Holds/NotApplicable), 1 check found a
-violation or a witness failed to replay, 2 input/parse error, 3 semantics
-error (cycle, size cap, non-convergence) or Inconclusive verdict.
+Exit codes: 0 success (check: Holds/NotApplicable; witness: confirmed), 1
+check found a violation or a witness failed to replay, 2 input/parse error
+(including a malformed witness file), 3 semantics error (cycle, size cap,
+non-convergence) or Inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .axioms import VerdictStatus, check, parse_property
 from .framework import ApxError, ArgFramework, CyclicFrameworkError, parse_apx, serialize_apx
 from .fuzz import (
     FuzzBudget,
+    lane_ref,
     matrix_records,
     render_matrix_text,
     run_default_matrix,
@@ -25,6 +28,7 @@ from .fuzz import (
 )
 from .orders import Ranking
 from .semantics import (
+    DEFAULT_CONFIG,
     SEMANTICS_IDS,
     NonConvergenceError,
     SemanticsRef,
@@ -46,23 +50,22 @@ def _env_seed() -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=0.1,
-                        help="attenuation for the social-product scores (default 0.1)")
-    parser.add_argument("--tol", type=float, default=1e-12,
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_CONFIG.epsilon,
+                        help="attenuation for the social-product scores (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol,
                         help="largest fixed-point residual max|x - F(x)| a solve may stop at")
-    parser.add_argument("--max-iter", type=int, default=10_000,
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_CONFIG.max_iter,
                         help="most fixed-point steps a cat/saf solve may take")
-    parser.add_argument("--lex-depth", type=int, default=None,
+    parser.add_argument("--lex-depth", type=int, default=DEFAULT_CONFIG.lex_depth,
                         help="step-vector truncation depth (default 2*|A|+2)")
-    parser.add_argument("--mt-cap", type=int, default=14,
+    parser.add_argument("--mt-cap", type=int, default=DEFAULT_CONFIG.mt_cap,
                         help="largest argument count the game semantics accepts")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomised checks (default: RANKARG_SEED or 0)")
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter,
-                        lex_depth=args.lex_depth, mt_cap=args.mt_cap)
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _seed(args) -> int:
@@ -100,8 +103,7 @@ def output_record(sid: str, cfg: SolverConfig, framework: ArgFramework) -> dict:
     ranking, scores = SemanticsRef(sid, cfg).scored_ranking(framework)
     return {
         "semantics": sid,
-        "config": {"epsilon": cfg.epsilon, "tol": cfg.tol, "max_iter": cfg.max_iter,
-                   "lex_depth": cfg.lex_depth, "mt_cap": cfg.mt_cap},
+        "config": asdict(cfg),
         "scores": {k: scores[k] for k in sorted(scores)} if scores is not None else None,
         "classes": [sorted(c) for c in ranking.equivalence_classes()],
         "incomparable": [list(p) for p in ranking.incomparable_pairs()],
@@ -188,25 +190,43 @@ def cmd_fuzz(args) -> int:
             stem = f"{record['semantics']}_{record['property']}".replace("!", "s")
             stem = stem.replace("^", "inc_").replace("+", "plus_")
             _atomic_write(witness_dir / f"{stem}.apx", record["witness_apx"])
-            _atomic_write(witness_dir / f"{stem}.json", witness_record(record))
+            cfg = lane_ref(record["semantics"], budget).cfg
+            _atomic_write(witness_dir / f"{stem}.json", witness_record(record, cfg))
         print(f"wrote {out}/matrix.txt, records.jsonl and {sum(1 for r in records if 'witness_apx' in r)} witnesses")
     return EXIT_OK
+
+
+#: JSON values a witness file may give a SolverConfig field, by its annotation.
+_CONFIG_VALUE_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
+
+
+def _witness_config(data) -> SolverConfig:
+    """The SolverConfig a witness file records; absent fields keep their defaults."""
+    if not isinstance(data, dict):
+        raise ApxError("bad witness file: config must be an object")
+    accepted = {f.name: _CONFIG_VALUE_TYPES[f.type] for f in fields(SolverConfig)}
+    for name, value in data.items():
+        if name not in accepted:
+            raise ApxError(f"bad witness file: unknown config field {name!r}")
+        if isinstance(value, bool) or not isinstance(value, accepted[name]):
+            raise ApxError(f"bad witness file: config field {name!r} cannot be {value!r}")
+    return SolverConfig(**data)
 
 
 def cmd_witness(args) -> int:
     try:
         payload = json.loads(Path(args.input).read_text())
-        prop = parse_property(payload["property"])
-        sid = payload["semantics"]
-        framework = parse_apx(payload["apx"])
-        cfg_data = payload.get("config", {})
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ApxError(f"bad witness file: {exc}")
-    cfg = SolverConfig(
-        epsilon=cfg_data.get("epsilon", 0.1), tol=cfg_data.get("tol", 1e-12),
-        max_iter=cfg_data.get("max_iter", 10_000), lex_depth=cfg_data.get("lex_depth"),
-        mt_cap=cfg_data.get("mt_cap", 14),
-    )
+    if not isinstance(payload, dict):
+        raise ApxError("bad witness file: not a JSON object")
+    for key in ("property", "semantics", "apx"):
+        if not isinstance(payload.get(key), str):
+            raise ApxError(f"bad witness file: {key!r} must be a string")
+    prop = parse_property(payload["property"])
+    sid = payload["semantics"]
+    framework = parse_apx(payload["apx"])
+    cfg = _witness_config(payload.get("config", {}))
     verdict = check(prop, framework, SemanticsRef(sid, cfg), seed=_seed(args))
     if verdict.status is VerdictStatus.VIOLATED:
         print(f"confirmed: {prop.value} still violated under {sid} "

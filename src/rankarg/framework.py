@@ -11,7 +11,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -169,10 +169,6 @@ def serialize_apx(framework: ArgFramework) -> str:
 def framework_key(framework: ArgFramework) -> str:
     """Stable short hash of the framework, for reports and seeds."""
     return hashlib.sha256(serialize_apx(framework).encode()).hexdigest()[:16]
-
-
-def direct_attackers(framework: ArgFramework, name: str) -> frozenset[str]:
-    return framework.attackers(name)
 
 
 @dataclass(frozen=True)
@@ -406,18 +402,3 @@ def graft_branch(f: ArgFramework, name: str, kind: str, length: int) -> ArgFrame
     new_attacks.update((chain[i], chain[i - 1]) for i in range(1, length))
     return ArgFramework(f.arguments | set(chain), f.attacks | new_attacks)
 
-
-def all_walks(framework: ArgFramework, length: int) -> Iterator[tuple[str, ...]]:
-    """Every directed walk of exactly `length` attacks, as a vertex sequence.
-
-    Brute-force enumeration; only sensible on tiny graphs.  Used as an oracle.
-    """
-    def extend(walk: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        if len(walk) == length + 1:
-            yield walk
-            return
-        for nxt in sorted(framework.targets(walk[-1])):
-            yield from extend(walk + (nxt,))
-
-    for start in sorted(framework.arguments):
-        yield from extend((start,))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 from . import catalog
@@ -146,8 +146,10 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
                  shrink: bool = True, dependency_rules=None) -> MatrixReport:
     """Run the checker over the corpus and aggregate per-cell reports.
 
-    The per-instance dependency audits run on every (framework, semantics)
-    pair; with the default rule set any hit means a checker bug.
+    The properties of one (framework, semantics) pair share one ranking
+    memo, so each ranking that pair needs is solved once.  The per-instance
+    dependency audits run on every pair; with the default rule set any hit
+    means a checker bug.
     """
     corpus = list(corpus)
     refs = list(semantics)
@@ -157,8 +159,9 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
     for framework in corpus:
         for ref in refs:
             verdicts: dict[PropertyId, PropertyVerdict] = {}
+            rankings: dict = {}
             for prop in props:
-                verdict = check(prop, framework, ref, seed=seed)
+                verdict = check(prop, framework, ref, seed=seed, rankings=rankings)
                 verdicts[prop] = verdict
                 cell = cells[(ref.sid, prop)]
                 cell.trials += 1
@@ -271,10 +274,17 @@ def default_corpora(budget: FuzzBudget = FuzzBudget()) -> dict[str, list[ArgFram
     return {"cheap": cheap, "tuples": tuples_corpus, "mt": mt_corpus}
 
 
+def lane_ref(sid: str, budget: FuzzBudget = FuzzBudget()) -> SemanticsRef:
+    """The semantics as its lane of the default matrix runs it."""
+    if sid == "mt":
+        return SemanticsRef("mt", SolverConfig(mt_cap=budget.mt_game_cap))
+    return SemanticsRef(sid)
+
+
 def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
                        semantics: Iterable[str] = SEMANTICS_IDS,
                        properties: Iterable[PropertyId] = PROPERTY_ORDER,
-                       shrink: bool = True, dependency_rules=None) -> MatrixReport:
+                       dependency_rules=None) -> MatrixReport:
     """The standard satisfaction-matrix run over the default corpora."""
     corpora = default_corpora(budget)
     props = list(properties)
@@ -283,17 +293,9 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
     failures: list[str] = []
     sizes: dict[str, int] = {}
     for sid in wanted:
-        if sid == "tuples":
-            corpus = corpora["tuples"]
-            ref = SemanticsRef("tuples")
-        elif sid == "mt":
-            corpus = corpora["mt"]
-            ref = SemanticsRef("mt", SolverConfig(mt_cap=budget.mt_game_cap))
-        else:
-            corpus = corpora["cheap"]
-            ref = SemanticsRef(sid)
+        corpus = corpora[sid if sid in ("tuples", "mt") else "cheap"]
         sizes[sid] = len(corpus)
-        part = build_matrix(corpus, [ref], props, seed=budget.seed, shrink=shrink,
+        part = build_matrix(corpus, [lane_ref(sid, budget)], props, seed=budget.seed,
                             dependency_rules=dependency_rules)
         cells.update(part.cells)
         failures.extend(part.dependency_failures)
@@ -361,19 +363,14 @@ def matrix_records(report: MatrixReport) -> Iterator[dict]:
             yield record
 
 
-def witness_record(cell_record: dict, config: SolverConfig = SolverConfig()) -> str:
-    """JSON text for one saved witness, re-playable by the CLI."""
+def witness_record(cell_record: dict, config: SolverConfig) -> str:
+    """JSON text for one saved witness, re-playable by the CLI under the
+    ``config`` its cell ran with."""
     payload = {
         "property": cell_record["property"],
         "semantics": cell_record["semantics"],
         "apx": cell_record["witness_apx"],
         "pair": cell_record.get("witness_pair"),
-        "config": {
-            "epsilon": config.epsilon,
-            "tol": config.tol,
-            "max_iter": config.max_iter,
-            "lex_depth": config.lex_depth,
-            "mt_cap": config.mt_cap,
-        },
+        "config": asdict(config),
     }
     return json.dumps(payload, indent=2)

@@ -10,7 +10,6 @@ classical grounded labelling collapsed to acceptability tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -178,10 +177,6 @@ def categoriser_residual(framework: ArgFramework, scores: dict[str, float]) -> f
     return worst
 
 
-def categoriser_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_scores(categoriser_scores(framework, cfg), "higher", tol=SCORE_TIE_TOL["cat"])
-
-
 def _prob_sum(values: Iterable[float]) -> float:
     acc = 0.0
     for v in values:
@@ -215,10 +210,6 @@ def saf_residual(framework: ArgFramework, scores: dict[str, float], cfg: SolverC
         target = tau * (1.0 - _prob_sum(scores[b] for b in sorted(framework.attackers(a))))
         worst = max(worst, abs(scores[a] - target))
     return worst
-
-
-def saf_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_scores(saf_scores(framework, cfg), "higher", tol=SCORE_TIE_TOL["saf"])
 
 
 def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
@@ -388,10 +379,6 @@ def mt_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> di
     return mt_scores_detailed(framework, cfg)[0]
 
 
-def mt_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_scores(mt_scores(framework, cfg), "higher", tol=SCORE_TIE_TOL["mt"])
-
-
 def grounded_labelling(framework: ArgFramework) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """(accepted, undecided, rejected) under the least-fixpoint defense operator.
 
@@ -417,10 +404,6 @@ def grounded_labelling(framework: ArgFramework) -> tuple[frozenset[str], frozens
     return current, undecided, rejected
 
 
-def grounded_extension(framework: ArgFramework) -> frozenset[str]:
-    return grounded_labelling(framework)[0]
-
-
 def grounded_ranking(framework: ArgFramework) -> Ranking:
     """Acceptability tiers of the grounded labelling: accepted above
     undecided above rejected (empty tiers dropped)."""
@@ -443,14 +426,6 @@ class SemanticsRef:
         if self.sid not in SEMANTICS_IDS:
             raise ValueError(f"unknown semantics {self.sid!r}; pick one of {SEMANTICS_IDS}")
 
-    @property
-    def needs_acyclic(self) -> bool:
-        return self.sid == "tuples"
-
-    @property
-    def value_based(self) -> bool:
-        return self.sid in ("cat", "saf", "mt")
-
     def scores(self, framework: ArgFramework) -> dict[str, float] | None:
         if self.sid == "cat":
             return categoriser_scores(framework, self.cfg)
@@ -469,26 +444,16 @@ class SemanticsRef:
         return ranking_from_scores(scores, "higher", tol=SCORE_TIE_TOL[self.sid]), scores
 
     def ranking(self, framework: ArgFramework) -> Ranking:
-        if self.sid == "cat":
-            return categoriser_ranking(framework, self.cfg)
-        if self.sid == "saf":
-            return saf_ranking(framework, self.cfg)
+        if self.sid in SCORE_TIE_TOL:
+            return self.scored_ranking(framework)[0]
         if self.sid == "dbs":
             return dbs_ranking(framework, self.cfg)
         if self.sid == "bbs":
             return bbs_ranking(framework, self.cfg)
         if self.sid == "tuples":
             return tuples_ranking(framework)
-        if self.sid == "mt":
-            return mt_ranking(framework, self.cfg)
         return grounded_ranking(framework)
 
     def pinned_to(self, framework: ArgFramework) -> "SemanticsRef":
         return replace(self, cfg=self.cfg.pinned_to(framework))
 
-
-@lru_cache(maxsize=50_000)
-def cached_ranking(sem: SemanticsRef, framework: ArgFramework) -> Ranking:
-    """Memoised rankings: the property checker asks for the same (semantics,
-    framework) ranking once per property and once per grafted construction."""
-    return sem.ranking(framework)

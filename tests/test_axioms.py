@@ -300,20 +300,3 @@ def test_verdicts_replay_deterministically(ex1):
     assert again.status is VerdictStatus.VIOLATED
     assert again.witness.pair == verdict.witness.pair
 
-
-def test_verdict_record_round_trips(ex1):
-    from rankarg.axioms import verdict_record
-    from rankarg.framework import framework_key, parse_apx
-
-    verdict = check(PropertyId.CP, ex1, CAT)
-    record = verdict_record(PropertyId.CP, CAT, ex1, verdict)
-    assert record["property"] == "CP" and record["semantics"] == "cat"
-    assert record["framework"] == framework_key(ex1)
-    assert record["status"] == "Violated"
-    assert record["witness_pair"] == list(verdict.witness.pair)
-    replay = check(PropertyId.CP, parse_apx(record["witness_apx"]), CAT)
-    assert replay.status is VerdictStatus.VIOLATED
-
-    holds = check(PropertyId.VP, ex1, CAT)
-    clean = verdict_record(PropertyId.VP, CAT, ex1, holds)
-    assert clean["status"] == "Holds" and "witness_apx" not in clean

@@ -152,9 +152,34 @@ def test_fuzz_writes_reports_and_witness_replays(tmp_path, capsys):
     assert "confirmed" in capsys.readouterr().out
 
 
-def test_witness_rejects_garbage(tmp_path):
+def test_fuzz_witness_records_the_lane_config(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    assert main(["fuzz", "--out", str(out_dir), "--trials", "3", "--mt-trials", "3",
+                 "--semantics", "mt", "--properties", "+AB"]) == 0
+    witness = out_dir / "witnesses" / "mt_plus_AB.json"
+    assert json.loads(witness.read_text())["config"]["mt_cap"] == 10
+    capsys.readouterr()
+    assert main(["witness", str(witness)]) == 0
+    assert "confirmed" in capsys.readouterr().out
+
+
+_GOOD_WITNESS = {"property": "VP", "semantics": "cat", "apx": "arg(a).\n"}
+
+
+@pytest.mark.parametrize("body", [
+    "{}",
+    "not json",
+    "[]",
+    json.dumps({**_GOOD_WITNESS, "config": None}),
+    json.dumps({**_GOOD_WITNESS, "apx": 5}),
+    json.dumps({**_GOOD_WITNESS, "config": {"max_iter": "x"}}),
+    json.dumps({**_GOOD_WITNESS, "config": {"mt_cap": True}}),
+    json.dumps({**_GOOD_WITNESS, "config": {"depth": 3}}),
+], ids=["empty-object", "not-json", "array", "null-config", "numeric-apx",
+        "string-max-iter", "bool-mt-cap", "unknown-config-field"])
+def test_witness_rejects_garbage(tmp_path, body):
     bad = tmp_path / "w.json"
-    bad.write_text("{}")
+    bad.write_text(body)
     assert main(["witness", str(bad)]) == 2
 
 

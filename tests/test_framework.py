@@ -13,12 +13,10 @@ from rankarg.framework import (
     CyclicFrameworkError,
     FrameworkError,
     UnknownArgumentError,
-    all_walks,
     branch_profile,
     branch_profiles,
     clone_fresh,
     connected_components,
-    direct_attackers,
     disjoint_union,
     find_isomorphism,
     graft_branch,
@@ -29,6 +27,19 @@ from rankarg.framework import (
 )
 
 # --- oracles -------------------------------------------------------------
+
+
+def all_walks(framework, length):
+    """Every directed walk of exactly `length` attacks, as a vertex sequence."""
+    def extend(walk):
+        if len(walk) == length + 1:
+            yield walk
+            return
+        for nxt in sorted(framework.targets(walk[-1])):
+            yield from extend(walk + (nxt,))
+
+    for start in sorted(framework.arguments):
+        yield from extend((start,))
 
 
 def walk_count_oracle(framework, name, length):
@@ -161,11 +172,11 @@ def test_serializer_sorted(ex1):
 
 
 def test_direct_attackers_example1(ex1):
-    assert direct_attackers(ex1, "e") == {"a", "c"}
-    assert direct_attackers(ex1, "b") == set()
-    assert direct_attackers(ArgFramework.make("x"), "x") == set()
+    assert ex1.attackers("e") == {"a", "c"}
+    assert ex1.attackers("b") == set()
+    assert ArgFramework.make("x").attackers("x") == set()
     with pytest.raises(UnknownArgumentError):
-        direct_attackers(ex1, "zz")
+        ex1.attackers("zz")
 
 
 def test_walk_counts_example1(ex1):

@@ -2,12 +2,15 @@
 witness shrinking."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
+from rankarg import fuzz, semantics
 from rankarg.axioms import PropertyId, VerdictStatus, check
-from rankarg.catalog import example1, figure2
-from rankarg.framework import has_cycle
+from rankarg.catalog import bundled, example1, figure2
+from rankarg.framework import ArgFramework, has_cycle
 from rankarg.fuzz import (
     EXPECTED_SATISFACTION,
     FuzzBudget,
@@ -18,9 +21,12 @@ from rankarg.fuzz import (
     gen_random,
     matrix_records,
     render_matrix_text,
+    run_default_matrix,
     shrink_witness,
 )
-from rankarg.semantics import SemanticsRef
+from rankarg.semantics import SEMANTICS_IDS, SemanticsRef, SolverConfig
+
+GOLDEN_COUNTS = Path(__file__).parent / "data" / "golden_counts.json"
 
 
 def take(stream, n):
@@ -145,3 +151,43 @@ def test_records_and_rendering():
     assert "witness_apx" in violated and violated["violations"] == 1
     text = render_matrix_text(report)
     assert "AvsFD" in text and "cat" in text
+
+
+def test_matrix_solves_each_ranking_once_per_pair(monkeypatch):
+    # cat cannot converge in two steps here, so every solve is a refusal;
+    # the memo stores refusals too
+    solves = []
+    solve = semantics.categoriser_scores
+    monkeypatch.setattr(semantics, "categoriser_scores",
+                        lambda framework, cfg: solves.append((cfg, framework)) or solve(framework, cfg))
+    cycle = ArgFramework.make("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")])
+    report = build_matrix([cycle], [SemanticsRef("cat", SolverConfig(max_iter=2))])
+    assert sum(cell.inconclusive for cell in report.cells.values()) > 0
+    assert len(solves) == len(set(solves))
+
+
+def test_matrix_verdicts_equal_standalone_checks(monkeypatch):
+    seen = []
+
+    def recording(prop, framework, sem, seed=0, rankings=None):
+        verdict = check(prop, framework, sem, seed=seed, rankings=rankings)
+        seen.append((prop, framework, sem, seed, verdict))
+        return verdict
+
+    monkeypatch.setattr(fuzz, "check", recording)
+    corpus = [f for n in (1, 2) for f in enumerate_all(n, True)] + list(bundled().values())
+    # the game cap of 8 keeps mt quick and turns the larger grafts Inconclusive
+    refs = [SemanticsRef(sid, SolverConfig(mt_cap=8)) for sid in SEMANTICS_IDS]
+    build_matrix(corpus, refs, seed=3, shrink=False)
+    assert len(seen) == len(corpus) * len(SEMANTICS_IDS) * 18
+    for prop, framework, sem, seed, verdict in seen:
+        assert check(prop, framework, sem, seed=seed) == verdict, (prop.value, sem.sid)
+
+
+def test_default_matrix_matches_golden_verdict_counts():
+    golden = json.loads(GOLDEN_COUNTS.read_text())
+    report = run_default_matrix(FuzzBudget(**golden["budget"]))
+    fields = ("trials", "holds", "violations", "not_applicable", "inconclusive", "witness_key")
+    counts = {f"{r['semantics']}|{r['property']}": {k: r.get(k) for k in fields}
+              for r in matrix_records(report)}
+    assert counts == golden["cells"]

@@ -20,19 +20,15 @@ from rankarg.semantics import (
     TupledValue,
     bbs_ranking,
     bbs_vectors,
-    categoriser_ranking,
     categoriser_residual,
     categoriser_scores,
     compare_tuples,
     dbs_ranking,
     dbs_vectors,
-    grounded_extension,
     grounded_labelling,
     grounded_ranking,
-    mt_ranking,
     mt_scores,
     mt_scores_detailed,
-    saf_ranking,
     saf_residual,
     saf_scores,
     tuples_ranking,
@@ -77,7 +73,7 @@ def test_cat_example1(ex1):
     scores = categoriser_scores(ex1)
     for name, expected in zip("abcde", (0.38, 1.0, 0.5, 0.65, 0.53)):
         assert scores[name] == pytest.approx(expected, abs=0.01)
-    assert classes(categoriser_ranking(ex1)) == [["b"], ["d"], ["e"], ["c"], ["a"]]
+    assert classes(SemanticsRef("cat").ranking(ex1)) == [["b"], ["d"], ["e"], ["c"], ["a"]]
 
 
 def test_cat_single_unattacked():
@@ -118,7 +114,7 @@ def test_saf_example1(ex1):
     scores = saf_scores(ex1)
     for name, expected in zip("abcde", (0.07, 0.91, 0.08, 0.20, 0.78)):
         assert scores[name] == pytest.approx(expected, abs=0.01)
-    assert classes(saf_ranking(ex1)) == [["b"], ["e"], ["d"], ["c"], ["a"]]
+    assert classes(SemanticsRef("saf").ranking(ex1)) == [["b"], ["e"], ["d"], ["c"], ["a"]]
 
 
 def test_saf_unattacked_is_tau():
@@ -302,7 +298,7 @@ def test_mt_example1_values(ex1):
     assert scores["d"] == pytest.approx(17 / 44, abs=1e-7)
     assert scores["e"] == pytest.approx(0.5, abs=1e-7)
     assert max(s.duality_gap for s in solutions.values()) < 1e-7
-    assert classes(mt_ranking(ex1)) == [["b"], ["e"], ["d"], ["c"], ["a"]]
+    assert classes(SemanticsRef("mt").ranking(ex1)) == [["b"], ["e"], ["d"], ["c"], ["a"]]
 
 
 def test_mt_unattacked_scores_one():
@@ -344,20 +340,20 @@ def test_mt_range_and_unattacked_on_random():
 
 def test_grounded_example1_matches_oracle(ex1):
     oracle = grounded_oracle(ex1)
-    assert grounded_extension(ex1) == oracle
+    assert grounded_labelling(ex1)[0] == oracle
     assert oracle == {"b", "e"}
     assert classes(grounded_ranking(ex1)) == [["b", "e"], ["a", "c", "d"]]
 
 
 def test_grounded_empty_relation_single_top():
     f = ArgFramework.make("abc")
-    assert grounded_extension(f) == {"a", "b", "c"}
+    assert grounded_labelling(f)[0] == {"a", "b", "c"}
     assert len(grounded_ranking(f).equivalence_classes()) == 1
 
 
 def test_grounded_self_attacker_alone():
     f = ArgFramework.make("a", [("a", "a")])
-    assert grounded_extension(f) == frozenset()
+    assert grounded_labelling(f)[0] == frozenset()
     assert len(grounded_ranking(f).equivalence_classes()) == 1
 
 
@@ -378,7 +374,7 @@ def test_grounded_extension_conflict_free_and_admissible():
     rng = random.Random(14)
     for _ in range(300):
         f = random_framework(rng, rng.randint(1, 8), rng.random() * 0.6)
-        ext = grounded_extension(f)
+        ext = grounded_labelling(f)[0]
         assert ext == grounded_oracle(f)
         assert not any((a, b) in f.attacks for a in ext for b in ext)
         for a in ext:
