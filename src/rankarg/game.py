@@ -77,10 +77,11 @@ def game_value(matrix) -> GameSolution:
         ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
         row = int(min(ties, key=lambda i: basis[i]))  # smallest basis index on ties
         before = tab[m, -1]
-        pivot = tab[row, col]
-        tab[row] /= pivot
-        others = np.arange(m + 1) != row
-        tab[others] -= np.outer(tab[others, col], tab[row])
+        tab[row] /= tab[row, col]
+        # update in place, with one tableau-sized temporary
+        pivot_row = tab[row].copy()
+        tab -= np.outer(tab[:, col], pivot_row)
+        tab[row] = pivot_row
         basis[row] = col
         pivots += 1
         stalled = stalled + 1 if tab[m, -1] <= before + 1e-15 else 0

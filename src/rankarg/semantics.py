@@ -34,7 +34,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class SizeCapExceededError(ValueError):
-    """Game-based scoring refused an argument set beyond the configured cap."""
+    """Game-based scoring refused a framework beyond the configured argument
+    cap or the memory budget of its game."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,16 @@ _LINE_SEARCH_HALVINGS = 10
 #: np.linalg.solve takes one more copy of the same size.  The default admits
 #: n <= 2896; larger frameworks take damped steps only.
 _JACOBIAN_BUDGET_BYTES = 64 * 2**20
+#: Largest memory the mt games of one framework may take.  The table of
+#: conflict-free proponent sets x distinct opponent signatures is charged
+#: _MT_LIVE_ARRAYS times its 8-byte entries (building it holds three arrays
+#: of its size at once), and so is the simplex tableau of each argument's
+#: game (the tableau, its pivot update, and the reduced game and table rows
+#: it was built from).  The opponent pass before them holds 2^|A| signatures
+#: of 2|A| counts, charged at 24 bytes per count.  A framework of at most 10
+#: arguments has a table of at most 8 MiB and is never refused.
+_MT_BUDGET_BYTES = 256 * 2**20
+_MT_LIVE_ARRAYS = 4
 
 
 def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
@@ -320,62 +331,112 @@ def tuples_ranking(framework: ArgFramework) -> Ranking:
     return Ranking(names, pairs, validate=True)
 
 
-def mt_reward_matrix(framework: ArgFramework, name: str):
-    """Reward matrix of the proponent/opponent subset game for one argument.
+def _check_mt_budget(what: str, nbytes: int) -> None:
+    if nbytes > _MT_BUDGET_BYTES:
+        raise SizeCapExceededError(
+            f"mt {what} needs about {nbytes / 2**20:,.0f} MiB, "
+            f"over the {_MT_BUDGET_BYTES / 2**20:,.0f} MiB game budget")
 
-    Rows: subsets containing the argument.  Columns: all subsets.  Reward is
-    0 for internally conflicting proponent sets, 1 when the opponent lands no
-    attack, otherwise the acceptability degree built from attack counts.
 
-    Vectorised:  #attacks(X -> Y) = sum over i in X of popcount(out[i] & Y)
-    decomposes into an indicator-times-contribution matrix product.
+def _mt_game_table(framework: ArgFramework) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, table): every conflict-free proponent set as a bit mask over
+    sorted(arguments), and its reward against every opponent signature.
+
+    The reward of proponent set P against opponent set O is 0 when P
+    conflicts, 1 when O lands no attack on P, and otherwise
+    (1 + f(|P -> O|) - f(|O -> P|)) / 2 with f(x) = x / (x + 1).  Both counts
+    are sums over i in P of |out(i) & O| and |in(i) & O|, so O enters only
+    through its signature of those 2|A| counts, and opponent sets with equal
+    signatures give equal columns; the table keeps one column per distinct
+    signature.  Conflicting sets are left out: their rows are zero, every
+    other row is positive, and rewards lie in [0, 1], so those rows are
+    weakly dominated and leave every game value unchanged.
     """
-    framework._require(name)
-    args = sorted(framework.arguments)
-    n = len(args)
-    idx = {a: i for i, a in enumerate(args)}
-    out_bits = np.zeros(n, dtype=np.int64)
-    for src, dst in framework.attacks:
-        out_bits[idx[src]] |= 1 << idx[dst]
+    names = sorted(framework.arguments)
+    n = len(names)
+    index = {a: i for i, a in enumerate(names)}
+    _check_mt_budget("opponent pass", 24 * 2 * n << n)
+    # Row j of incidence is what member j adds to a set's signature: 1 at
+    # column i when j is in out(i), and at column n + i when j is in in(i).
+    incidence = np.zeros((n, 2 * n), dtype=np.uint8)
+    neighbours = [0] * n
+    for a, b in framework.attacks:
+        incidence[index[b], index[a]] = 1
+        incidence[index[a], n + index[b]] = 1
+        neighbours[index[a]] |= 1 << index[b]
+        neighbours[index[b]] |= 1 << index[a]
+    # Build both per-set tables by doubling: the sets whose highest member is
+    # k are the sets below 2^k with k added.
+    masks = np.arange(1 << n, dtype=np.int64)
+    counts = np.zeros((1 << n, 2 * n), dtype=np.uint8)
+    free = np.ones(1 << n, dtype=bool)
+    for k in range(n):
+        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
+        counts[high] = counts[low] + incidence[k]
+        self_attacking = neighbours[k] >> k & 1
+        free[high] = False if self_attacking else free[low] & ((masks[low] & neighbours[k]) == 0)
+    rows = masks[free][1:]  # the empty set holds no argument
+    signatures = _distinct_rows(counts).T.astype(np.float64)  # (2n, S)
+    del masks, counts, free
+    _check_mt_budget(f"game table ({len(rows)} conflict-free sets x {signatures.shape[1]} signatures)",
+                     8 * _MT_LIVE_ARRAYS * len(rows) * signatures.shape[1])
 
-    full = 1 << n
-    masks = np.arange(full, dtype=np.int64)
-    popcount = np.zeros(full, dtype=np.int64)
-    for bit in range(n):
-        popcount += (masks >> bit) & 1
-    member_of = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)  # (2^n, n)
-    # hits[i, m] = popcount(out[i] & m): attacks argument i lands inside mask m
-    hits = popcount[np.bitwise_and(out_bits[:, None], masks[None, :])].astype(np.float64)
+    members = ((rows[:, None] >> np.arange(n)) & 1).astype(np.float64)  # (R, n)
+    into = members @ signatures[n:]  # |O -> P|
+    table = members @ signatures[:n]  # |P -> O|
+    unattacked = into == 0
+    table /= table + 1.0
+    into /= into + 1.0
+    table += 1.0
+    table -= into
+    table *= 0.5
+    table[unattacked] = 1.0
+    return rows, table
 
-    rows = masks[(masks >> idx[name]) & 1 == 1]
-    row_members = member_of[rows]                      # (R, n)
-    attacks_into_cols = row_members @ hits             # (R, 2^n): |O <- P|
-    attacks_into_rows = (member_of @ hits[:, rows]).T  # (R, 2^n): |P <- O|
-    conflict = (row_members * hits[:, rows].T).sum(axis=1) > 0
 
-    f_out = attacks_into_cols / (attacks_into_cols + 1.0)
-    f_in = attacks_into_rows / (attacks_into_rows + 1.0)
-    matrix = 0.5 * (1.0 + f_out - f_in)
-    matrix[attacks_into_rows == 0] = 1.0
-    matrix[conflict, :] = 0.0
-    return matrix
+def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of ``matrix`` in order, each exact duplicate after the first
+    dropped.  Rows are compared as bytes, which matches float equality on
+    the game tables: their entries are finite and never -0.0."""
+    matrix = np.ascontiguousarray(matrix)
+    keys = matrix.view(np.dtype((np.void, matrix.shape[1] * matrix.itemsize))).ravel()
+    first = np.unique(keys, return_index=True)[1]
+    return matrix[np.sort(first)]
 
 
 def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG
                        ) -> tuple[dict[str, float], dict[str, GameSolution]]:
+    """Game value of every argument and the LP solution it comes from.
+
+    The game of argument a has the proponent sets containing a as rows and
+    all opponent sets as columns.  It is solved on its reduced form: the
+    conflict-free rows of one table per framework (_mt_game_table), with
+    exact duplicate rows and columns dropped, which leaves the value as it
+    is.  An argument in no conflict-free set (a self-attacker) plays the
+    all-zero game, reduced to the 1 x 1 game [0].
+
+    Refuses with SizeCapExceededError beyond ``cfg.mt_cap`` arguments or
+    beyond the memory budget _MT_BUDGET_BYTES.
+    """
     if len(framework.arguments) > cfg.mt_cap:
         raise SizeCapExceededError(
             f"{len(framework.arguments)} arguments exceed the game cap {cfg.mt_cap}"
         )
+    rows, table = _mt_game_table(framework)
     scores, solutions = {}, {}
-    for a in sorted(framework.arguments):
-        sol = game_value(mt_reward_matrix(framework, a))
+    for i, a in enumerate(sorted(framework.arguments)):
+        mine = table[(rows >> i) & 1 == 1]
+        game = _distinct_rows(_distinct_rows(mine).T).T if len(mine) else np.zeros((1, 1))
+        m, k = game.shape
+        _check_mt_budget(f"game of {a} ({m} x {k})", 8 * _MT_LIVE_ARRAYS * (m + 1) * (k + m + 1))
+        sol = game_value(game)
         scores[a] = sol.value
         solutions[a] = sol
     return scores, solutions
 
 
 def mt_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, float]:
+    """Game value of every argument (see mt_scores_detailed)."""
     return mt_scores_detailed(framework, cfg)[0]
 
 
@@ -455,5 +516,10 @@ class SemanticsRef:
         return grounded_ranking(framework)
 
     def pinned_to(self, framework: ArgFramework) -> "SemanticsRef":
+        """This semantics with the truncation depth frozen at the one for
+        ``framework``; the semantics that read no depth come back as they
+        are, so rankings under them are shared with unpinned requests."""
+        if self.sid not in ("dbs", "bbs"):
+            return self
         return replace(self, cfg=self.cfg.pinned_to(framework))
 

@@ -138,7 +138,7 @@ def test_default_corpora_carry_curated_seeds():
     corpora = default_corpora(budget)
     assert example1() in corpora["cheap"]
     assert all(not has_cycle(f) for f in corpora["tuples"])
-    assert all(len(f.arguments) <= 10 or True for f in corpora["mt"])
+    assert all(len(f.arguments) <= budget.mt_game_cap for f in corpora["mt"])
     assert any(len(f.arguments) == 9 for f in corpora["mt"])  # the game seed
 
 
@@ -163,7 +163,7 @@ def test_matrix_solves_each_ranking_once_per_pair(monkeypatch):
     cycle = ArgFramework.make("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")])
     report = build_matrix([cycle], [SemanticsRef("cat", SolverConfig(max_iter=2))])
     assert sum(cell.inconclusive for cell in report.cells.values()) > 0
-    assert len(solves) == len(set(solves))
+    assert len(solves) == len({framework for _, framework in solves}) == 3
 
 
 def test_matrix_verdicts_equal_standalone_checks(monkeypatch):

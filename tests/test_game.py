@@ -134,7 +134,7 @@ def test_dominated_row_does_not_matter():
 
 
 def test_example1_reward_matrix_for_e(ex1):
-    from rankarg.semantics import mt_reward_matrix
+    from mt_dense import mt_reward_matrix
 
     sol = game_value(mt_reward_matrix(ex1, "e"))
     assert sol.value == pytest.approx(0.5, abs=1e-7)

@@ -1,0 +1,131 @@
+"""The reduced mt game against the dense reward matrix of tests/mt_dense.py,
+and the memory budget that bounds the reduced game."""
+
+import random
+import tracemalloc
+
+import pytest
+from mt_dense import mt_reward_matrix
+
+from rankarg import semantics
+from rankarg.axioms import PropertyId, VerdictStatus, check
+from rankarg.cli import main
+from rankarg.framework import ArgFramework, serialize_apx
+from rankarg.fuzz import FuzzBudget, enumerate_all
+from rankarg.game import game_value
+from rankarg.orders import ranking_from_scores
+from rankarg.semantics import (
+    SCORE_TIE_TOL,
+    SemanticsRef,
+    SizeCapExceededError,
+    SolverConfig,
+    mt_scores,
+    mt_scores_detailed,
+)
+
+ORACLE_CFG = SolverConfig(mt_cap=8)
+
+
+def random_framework(rng, n, density):
+    names = [f"n{i}" for i in range(n)]
+    return ArgFramework.make(names, [(x, y) for x in names for y in names if rng.random() < density])
+
+
+def matching(pairs):
+    """a_i -> b_i for each i: 3^pairs - 1 nonempty conflict-free sets and
+    4^pairs opponent signatures."""
+    names = [f"{side}{i}" for i in range(pairs) for side in "ab"]
+    return ArgFramework.make(names, [(f"a{i}", f"b{i}") for i in range(pairs)])
+
+
+def assert_matches_dense(framework):
+    scores, solutions = mt_scores_detailed(framework, ORACLE_CFG)
+    dense = {a: game_value(mt_reward_matrix(framework, a)).value for a in framework.arguments}
+    for a in framework.arguments:
+        assert abs(scores[a] - dense[a]) <= 1e-12, (serialize_apx(framework), a, scores[a], dense[a])
+    assert max(s.duality_gap for s in solutions.values()) < 1e-7
+    tol = SCORE_TIE_TOL["mt"]
+    assert ranking_from_scores(scores, "higher", tol=tol) == ranking_from_scores(dense, "higher", tol=tol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduced_game_matches_dense_on_every_small_framework(n):
+    for framework in enumerate_all(n, allow_self_attacks=True):
+        assert_matches_dense(framework)
+
+
+def test_reduced_game_matches_dense_on_random_frameworks():
+    rng = random.Random(2008)
+    for _ in range(240):
+        assert_matches_dense(random_framework(rng, rng.randint(1, 8), rng.random() * 0.6))
+
+
+def test_self_attacker_plays_the_zero_game():
+    f = ArgFramework.make("abc", [("a", "a"), ("a", "b"), ("b", "a"), ("c", "a")])
+    scores, solutions = mt_scores_detailed(f)
+    assert scores["a"] == 0.0
+    assert solutions["a"].row_strategy == (1.0,) and solutions["a"].column_strategy == (1.0,)
+    assert scores["c"] == 1.0
+    assert 0.0 < scores["b"] < 1.0
+
+
+def test_one_lp_per_argument(monkeypatch, ex1):
+    shapes = []
+    solve = semantics.game_value
+    monkeypatch.setattr(semantics, "game_value",
+                        lambda game: shapes.append(game.shape) or solve(game))
+    mt_scores(ex1)
+    assert len(shapes) == len(ex1.arguments)
+    # no reduced game keeps the 2^(n-1) x 2^n shape of the dense one
+    assert all(rows < 16 and cols < 32 for rows, cols in shapes)
+
+
+def test_fuzz_lanes_fit_the_budget():
+    # the largest game of mt_game_cap arguments, whatever its attacks:
+    # every nonempty set conflict-free, every opponent set its own signature
+    n = FuzzBudget().mt_game_cap
+    table = 8 * semantics._MT_LIVE_ARRAYS * (2**n - 1) * 2**n
+    tableau = 8 * semantics._MT_LIVE_ARRAYS * (2**(n - 1) + 1) * (2**n + 2**(n - 1) + 1)
+    opponent_pass = 24 * 2 * n << n
+    assert max(table, tableau, opponent_pass) <= semantics._MT_BUDGET_BYTES
+    assert (2**n - 1) * 2**n * 8 <= 8 * 2**20
+
+
+def test_random_14_arguments_get_a_ranking():
+    f = random_framework(random.Random(0), 14, 0.15)
+    scores, solutions = mt_scores_detailed(f, SolverConfig(mt_cap=14))
+    assert max(s.duality_gap for s in solutions.values()) < 1e-7
+    assert all(0.0 <= s <= 1.0 for s in scores.values())
+    assert len(SemanticsRef("mt").ranking(f).arguments) == 14
+
+
+def test_matching_of_7_pairs_exits_3(tmp_path, capsys):
+    apx = tmp_path / "matching.apx"
+    apx.write_text(serialize_apx(matching(7)))
+    assert main(["rank", str(apx), "mt"]) == 3
+    err = capsys.readouterr().err
+    assert "2186 conflict-free sets x 16384 signatures" in err
+    assert "over the 256 MiB game budget" in err
+
+
+def test_over_budget_is_inconclusive(monkeypatch, ex1):
+    monkeypatch.setattr(semantics, "_MT_BUDGET_BYTES", 2**10)
+    with pytest.raises(SizeCapExceededError, match="MiB, over the .* MiB game budget"):
+        mt_scores(ex1)
+    verdict = check(PropertyId.VP, ex1, SemanticsRef("mt"))
+    assert verdict.status is VerdictStatus.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("framework", [random_framework(random.Random(1), 13, 0.1), matching(6)],
+                         ids=["random-13", "matching-6"])
+def test_budget_estimate_bounds_the_peak(framework):
+    rows, table = semantics._mt_game_table(framework)
+    estimate = 8 * semantics._MT_LIVE_ARRAYS * table.size
+    del rows, table
+    tracemalloc.start()
+    try:
+        mt_scores(framework)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate

@@ -307,7 +307,7 @@ def test_mt_unattacked_scores_one():
 
 
 def test_mt_self_attacking_singleton_is_zero():
-    from rankarg.semantics import mt_reward_matrix
+    from mt_dense import mt_reward_matrix
 
     f = ArgFramework.make("a", [("a", "a")])
     matrix = mt_reward_matrix(f, "a")
