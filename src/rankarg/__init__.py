@@ -29,12 +29,10 @@ from .framework import (
     FrameworkError,
     UnknownArgumentError,
     WalkCountTable,
-    branch_profile,
     branch_profiles,
     clone_fresh,
     connected_components,
     disjoint_union,
-    find_isomorphism,
     framework_key,
     graft_branch,
     has_cycle,

@@ -192,16 +192,22 @@ class WalkCountTable:
 
 
 def walk_counts(framework: ArgFramework, max_len: int) -> WalkCountTable:
+    """Walk counts by the in-walk recurrence: one pass over the attacks, as
+    index pairs, per length, in Python integers."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    prev = {a: 1 for a in framework.arguments}
-    table: dict[str, list[int]] = {a: [] for a in framework.arguments}
+    names = sorted(framework.arguments)
+    index = {a: i for i, a in enumerate(names)}
+    edges = [(index[b], index[a]) for a, b in framework.attacks]
+    steps = []
+    prev = [1] * len(names)
     for _ in range(max_len):
-        cur = {a: sum(prev[b] for b in framework.attackers(a)) for a in framework.arguments}
-        for a, n in cur.items():
-            table[a].append(n)
+        cur = [0] * len(names)
+        for dst, src in edges:
+            cur[dst] += prev[src]
+        steps.append(cur)
         prev = cur
-    return WalkCountTable(max_len, {a: tuple(v) for a, v in table.items()})
+    return WalkCountTable(max_len, dict(zip(names, zip(*steps))))
 
 
 def has_cycle(framework: ArgFramework) -> bool:
@@ -261,11 +267,6 @@ def branch_profiles(framework: ArgFramework) -> dict[str, BranchProfile]:
     return out
 
 
-def branch_profile(framework: ArgFramework, name: str) -> BranchProfile:
-    framework._require(name)
-    return branch_profiles(framework)[name]
-
-
 def connected_components(framework: ArgFramework) -> list[ArgFramework]:
     """Weakly connected components, each as an induced sub-framework.
 
@@ -291,58 +292,6 @@ def connected_components(framework: ArgFramework) -> list[ArgFramework]:
                     stack.append(nxt)
         comps.append(framework.restricted_to(comp))
     return comps
-
-
-def find_isomorphism(f: ArgFramework, g: ArgFramework) -> dict[str, str] | None:
-    """An attack-preserving bijection from f to g, or None.
-
-    Backtracking search; candidates are pruned by (in-degree, out-degree,
-    self-attack) signatures.
-    """
-    if len(f.arguments) != len(g.arguments) or len(f.attacks) != len(g.attacks):
-        return None
-
-    def signature(fr: ArgFramework, v: str) -> tuple[int, int, bool]:
-        return (len(fr.attackers(v)), len(fr.targets(v)), (v, v) in fr.attacks)
-
-    f_args = sorted(f.arguments)
-    by_sig: dict[tuple[int, int, bool], list[str]] = {}
-    for w in sorted(g.arguments):
-        by_sig.setdefault(signature(g, w), []).append(w)
-    candidates = {}
-    for v in f_args:
-        cands = by_sig.get(signature(f, v))
-        if not cands:
-            return None
-        candidates[v] = cands
-    order = sorted(f_args, key=lambda v: (len(candidates[v]), v))
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(v: str, w: str) -> bool:
-        for u, x in mapping.items():
-            if ((u, v) in f.attacks) != ((x, w) in g.attacks):
-                return False
-            if ((v, u) in f.attacks) != ((w, x) in g.attacks):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return dict(mapping) if backtrack(0) else None
 
 
 def disjoint_union(f: ArgFramework, g: ArgFramework) -> ArgFramework:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
@@ -27,101 +29,135 @@ class Ranking:
 
     ``geq(a, b)`` means *a is at least as acceptable as b*.  Derived
     relations: ``strict`` (geq one way only), ``equivalent`` (both ways),
-    ``incomparable`` (neither).  Construction validates reflexivity and,
-    unless built from ordered classes (transitive by construction),
-    transitivity; a violation raises ``ValueError``.
+    ``incomparable`` (neither).
+
+    A ranking is stored once, at construction, as its equivalence classes in
+    topological order (better classes first; among classes neither of which
+    is strictly above the other, fewer classes strictly above first, then
+    the smallest name), the class index of every argument, whether the
+    preorder is total, and each argument's at-least-as-good set (the
+    arguments it is at least as good as, itself included).  All members of a
+    class share one such set.  Every query reads this state: ``geq``,
+    ``strict``, ``equivalent`` and ``is_total`` take O(1), and
+    ``equivalence_classes`` O(classes); ``incomparable_pairs`` is empty at
+    once for a total preorder and O(n^2) only for a partial one.
+
+    :meth:`from_classes` builds a total preorder from its classes listed
+    best first in O(n * classes) set work, without a pair list.  The pair
+    constructor takes any preorder as its >= pairs (it is reflexive by
+    construction), audits transitivity and raises ``ValueError`` on a
+    violation; it costs O(pairs).
     """
 
-    __slots__ = ("arguments", "_above")
+    __slots__ = ("arguments", "_geq", "_level", "_classes", "_total")
 
-    def __init__(self, arguments: Iterable[str], geq_pairs: Iterable[tuple[str, str]],
-                 validate: bool = True):
-        self.arguments: tuple[str, ...] = tuple(sorted(set(arguments)))
-        index = set(self.arguments)
-        above: dict[str, set[str]] = {a: {a} for a in self.arguments}
+    def __init__(self, arguments: Iterable[str], geq_pairs: Iterable[tuple[str, str]]):
+        names = sorted(set(arguments))
+        down: dict[str, set[str]] = {a: {a} for a in names}
         for a, b in geq_pairs:
-            if a not in index or b not in index:
+            if a not in down or b not in down:
                 raise ValueError(f"pair ({a},{b}) outside the argument set")
-            above[a].add(b)
-        self._above = above
-        if validate:
-            self._audit()
-
-    def _audit(self) -> None:
-        for a in self.arguments:
-            if a not in self._above[a]:
-                raise ValueError(f"not reflexive at {a}")
-            for b in self._above[a]:
-                if not self._above[b] <= self._above[a]:
-                    missing = sorted(self._above[b] - self._above[a])
+            down[a].add(b)
+        for a in names:
+            for b in down[a]:
+                if not down[b] <= down[a]:
+                    missing = sorted(down[b] - down[a])
                     raise ValueError(f"not transitive: {a} >= {b} >= {missing[0]} but not {a} >= {missing[0]}")
+        # a and b are equivalent exactly when their at-least-as-good sets are
+        # equal; each class keeps its members in name order.
+        members: dict[frozenset[str], list[str]] = {}
+        for a in names:
+            members.setdefault(frozenset(down[a]), []).append(a)
+        class_of = {a: geq for geq, group in members.items() for a in group}
+        above = dict.fromkeys(members, 0)
+        for geq in members:
+            for lower in {class_of[b] for b in geq}:
+                if lower is not geq:
+                    above[lower] += 1
+        order = sorted(members, key=lambda geq: (above[geq], members[geq][0]))
+        total = all(above[geq] == i for i, geq in enumerate(order))
+        self._store([frozenset(members[geq]) for geq in order], class_of, total)
 
     @classmethod
     def from_classes(cls, classes: Sequence[Iterable[str]]) -> "Ranking":
-        """Total preorder from equivalence classes listed best first."""
-        levels = [frozenset(c) for c in classes]
-        args = [a for level in levels for a in level]
-        pairs = []
-        for i, level in enumerate(levels):
-            below = [b for lower in levels[i:] for b in lower]
-            pairs.extend((a, b) for a in level for b in below)
-        ranking = cls(args, pairs, validate=False)
+        """Total preorder from equivalence classes listed best first.
+
+        Empty classes are dropped; an argument listed in two classes raises
+        ``ValueError``.
+        """
+        levels = [level for level in map(frozenset, classes) if level]
+        geq: dict[str, frozenset[str]] = {}
+        below: frozenset[str] = frozenset()
+        for level in reversed(levels):
+            twice = level & below
+            if twice:
+                raise ValueError(f"argument {min(twice)} is listed in two classes")
+            below = below | level
+            geq.update(dict.fromkeys(level, below))
+        ranking = cls.__new__(cls)
+        ranking._store(levels, geq, True)
         return ranking
 
+    def _store(self, classes: list[frozenset[str]], geq: dict[str, frozenset[str]],
+               total: bool) -> None:
+        self.arguments: tuple[str, ...] = tuple(sorted(geq))
+        self._geq = geq
+        self._level = {a: i for i, level in enumerate(classes) for a in level}
+        self._classes = tuple(classes)
+        self._total = total
+
+    def _levels(self, a: str, b: str) -> tuple[int, int]:
+        try:
+            return self._level[a], self._level[b]
+        except KeyError:
+            raise ValueError(f"unknown argument in pair ({a},{b})") from None
+
     def geq(self, a: str, b: str) -> bool:
-        if a not in self._above or b not in self._above:
-            raise ValueError(f"unknown argument in pair ({a},{b})")
-        return b in self._above[a]
+        self._levels(a, b)
+        return b in self._geq[a]
 
     def strict(self, a: str, b: str) -> bool:
-        return self.geq(a, b) and not self.geq(b, a)
+        level_a, level_b = self._levels(a, b)
+        return level_a != level_b and b in self._geq[a]
 
     def equivalent(self, a: str, b: str) -> bool:
-        return self.geq(a, b) and self.geq(b, a)
+        level_a, level_b = self._levels(a, b)
+        return level_a == level_b
 
     def incomparable(self, a: str, b: str) -> bool:
-        return not self.geq(a, b) and not self.geq(b, a)
+        self._levels(a, b)
+        return b not in self._geq[a] and a not in self._geq[b]
 
     def is_total(self) -> bool:
-        args = self.arguments
-        return all(self.geq(a, b) or self.geq(b, a) for i, a in enumerate(args) for b in args[i + 1:])
+        return self._total
 
     def incomparable_pairs(self) -> list[tuple[str, str]]:
-        args = self.arguments
-        return [(a, b) for i, a in enumerate(args) for b in args[i + 1:] if self.incomparable(a, b)]
+        if self._total:
+            return []
+        args, geq = self.arguments, self._geq
+        return [(a, b) for i, a in enumerate(args) for b in args[i + 1:]
+                if b not in geq[a] and a not in geq[b]]
 
     def equivalence_classes(self) -> list[frozenset[str]]:
         """Classes of mutually equivalent arguments, better classes first.
 
         For a total preorder this is the full chain.  For a partial preorder
         classes come in a topological order of strict dominance (ties broken
-        by smallest member name), so class i is never strictly below class j
-        for i < j.
+        by the number of classes strictly above, then the smallest member
+        name), so class i is never strictly below class j for i < j.
         """
-        remaining = list(self.arguments)
-        classes: list[frozenset[str]] = []
-        seen: set[str] = set()
-        for a in remaining:
-            if a in seen:
-                continue
-            cls_ = frozenset(b for b in self.arguments if self.equivalent(a, b))
-            seen |= cls_
-            classes.append(cls_)
-        # topological sort: count of classes strictly above, then name
-        def key(c: frozenset[str]) -> tuple[int, str]:
-            rep = min(c)
-            above = sum(1 for other in classes if other is not c and self.strict(min(other), rep))
-            return (above, rep)
-
-        return sorted(classes, key=key)
+        return list(self._classes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ranking):
             return NotImplemented
-        return self.arguments == other.arguments and self._above == other._above
+        # The class order is a function of the preorder, and a total
+        # preorder is its class order.
+        return (self._classes == other._classes and self._total == other._total
+                and (self._total or self._geq == other._geq))
 
     def __repr__(self) -> str:
-        parts = [" = ".join(sorted(c)) for c in self.equivalence_classes()]
+        parts = [" = ".join(sorted(c)) for c in self._classes]
         return f"Ranking({' > '.join(parts)})"
 
 
@@ -217,33 +253,31 @@ def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], lower_is_better
                          tol: float = 0.0) -> Ranking:
     """Total preorder by lexicographic comparison of equal-length vectors.
 
-    Coordinates are first canonicalised by clustering values within ``tol``
-    (per coordinate, over all arguments), so the induced ties are transitive;
-    the cluster ranks are then compared lexicographically.
+    With ``tol == 0`` the vectors are compared as they are, which suits exact
+    integers of any size.  With ``tol > 0`` (float vectors) each coordinate
+    is first canonicalised by clustering its sorted values over all
+    arguments wherever consecutive values lie within ``tol``, so the induced
+    ties are transitive; the cluster ranks are then compared
+    lexicographically.
     """
     names = sorted(vectors)
-    if not names:
-        return Ranking.from_classes([])
-    length = len(vectors[names[0]])
+    length = len(vectors[names[0]]) if names else 0
     if any(len(vectors[a]) != length for a in names):
         raise ValueError("vectors must share one length")
-    keys = {a: [] for a in names}
-    for i in range(length):
-        values = sorted((vectors[a][i], a) for a in names)
-        rank = 0
-        prev = None
-        for value, a in values:
-            if prev is not None and abs(value - prev) > tol:
-                rank += 1
-            keys[a].append(rank)
-            prev = value
-    order = sorted(names, key=lambda a: (keys[a] if lower_is_better else [-r for r in keys[a]], a))
+    if tol == 0:
+        rows = [tuple(vectors[a]) for a in names]
+    else:
+        values = np.array([vectors[a] for a in names], dtype=np.float64).reshape(len(names), length)
+        order = np.argsort(values, axis=0, kind="stable")
+        steps = np.diff(np.take_along_axis(values, order, axis=0), axis=0) > tol
+        ranks = np.zeros(values.shape, dtype=np.int64)
+        np.put_along_axis(ranks, order[1:], np.cumsum(steps, axis=0), axis=0)
+        rows = list(map(tuple, ranks.tolist()))
+    keys = dict(zip(names, rows))
     classes: list[list[str]] = []
-    prev_key = None
-    for a in order:
-        if prev_key == keys[a]:
+    for a in sorted(names, key=keys.__getitem__, reverse=not lower_is_better):
+        if classes and keys[classes[-1][0]] == keys[a]:
             classes[-1].append(a)
         else:
             classes.append([a])
-        prev_key = keys[a]
     return Ranking.from_classes(classes)

@@ -10,6 +10,7 @@ classical grounded labelling collapsed to acceptability tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import neg
 from typing import Iterable
 
 import numpy as np
@@ -90,6 +91,18 @@ _MT_BUDGET_BYTES = 256 * 2**20
 _MT_LIVE_ARRAYS = 4
 
 
+def _edge_arrays(framework: ArgFramework) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(names, src, dst): sorted(arguments), and attack k running from
+    names[src[k]] to names[dst[k]].  The attacks are sorted by target, then
+    attacker, so np.bincount over dst sums each attacker set in name order
+    and the sums do not depend on set iteration order."""
+    names = sorted(framework.arguments)
+    index = {a: i for i, a in enumerate(names)}
+    edges = np.array(sorted((index[b], index[a]) for a, b in framework.attacks),
+                     dtype=np.intp).reshape(-1, 2)
+    return names, edges[:, 1], edges[:, 0]
+
+
 def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     """Solve x = F(x) over sorted(arguments), starting from x = upper.
 
@@ -109,13 +122,7 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     raises NonConvergenceError when cfg.max_iter steps of any kind have not
     got there.
     """
-    names = sorted(framework.arguments)
-    index = {a: i for i, a in enumerate(names)}
-    # Sorted by target, then attacker: bincount then sums each attacker set in
-    # name order, so the scores do not depend on set iteration order.
-    edges = np.array(sorted((index[b], index[a]) for a, b in framework.attacks),
-                     dtype=np.intp).reshape(-1, 2)
-    dst, src = edges[:, 0], edges[:, 1]
+    names, src, dst = _edge_arrays(framework)
     n = len(names)
     newton_fits = 8 * n * n <= _JACOBIAN_BUDGET_BYTES
 
@@ -227,14 +234,11 @@ def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     """Discussion-count vectors: step i counts length-i in-walks, positive at
     odd steps and negative at even steps, matching the worked examples of the
     source semantics (the smaller vector belongs to the better argument)."""
-    depth = cfg.depth_for(framework)
-    table = walk_counts(framework, depth)
     out = {}
-    for a in framework.arguments:
-        out[a] = tuple(
-            table.count_in(a, i) if i % 2 == 1 else -table.count_in(a, i)
-            for i in range(1, depth + 1)
-        )
+    for a, counts in walk_counts(framework, cfg.depth_for(framework)).counts.items():
+        signed = list(counts)
+        signed[1::2] = map(neg, counts[1::2])
+        out[a] = tuple(signed)
     return out
 
 
@@ -246,20 +250,15 @@ def bbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     """Burden vectors from step 0 to the truncation depth.
 
     Step 0 is 1 everywhere; step i adds one reciprocal of each attacker's
-    previous burden.  Lower vectors are better.
+    previous burden, summed in attacker name order.  Lower vectors are
+    better.
     """
     depth = cfg.depth_for(framework)
-    vectors = {a: [1.0] for a in framework.arguments}
-    prev = {a: 1.0 for a in framework.arguments}
-    for _ in range(depth):
-        cur = {
-            a: 1.0 + sum(1.0 / prev[b] for b in sorted(framework.attackers(a)))
-            for a in framework.arguments
-        }
-        for a, v in cur.items():
-            vectors[a].append(v)
-        prev = cur
-    return {a: tuple(v) for a, v in vectors.items()}
+    names, src, dst = _edge_arrays(framework)
+    steps = np.ones((depth + 1, len(names)))
+    for i in range(depth):
+        steps[i + 1] += np.bincount(dst, weights=1.0 / steps[i][src], minlength=len(names))
+    return dict(zip(names, map(tuple, steps.T.tolist())))
 
 
 def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
@@ -328,7 +327,7 @@ def tuples_ranking(framework: ArgFramework) -> Ranking:
                 pairs.append((a, b))
             elif rel == "lt":
                 pairs.append((b, a))
-    return Ranking(names, pairs, validate=True)
+    return Ranking(names, pairs)
 
 
 def _check_mt_budget(what: str, nbytes: int) -> None:

@@ -13,18 +13,76 @@ from rankarg.framework import (
     CyclicFrameworkError,
     FrameworkError,
     UnknownArgumentError,
-    branch_profile,
     branch_profiles,
     clone_fresh,
     connected_components,
     disjoint_union,
-    find_isomorphism,
     graft_branch,
     has_cycle,
     parse_apx,
     serialize_apx,
     walk_counts,
 )
+
+# --- test-only helpers ----------------------------------------------------
+
+
+def branch_profile(framework, name):
+    framework._require(name)
+    return branch_profiles(framework)[name]
+
+
+def find_isomorphism(f, g):
+    """An attack-preserving bijection from f to g, or None.
+
+    Backtracking search; candidates are pruned by (in-degree, out-degree,
+    self-attack) signatures.
+    """
+    if len(f.arguments) != len(g.arguments) or len(f.attacks) != len(g.attacks):
+        return None
+
+    def signature(fr, v):
+        return (len(fr.attackers(v)), len(fr.targets(v)), (v, v) in fr.attacks)
+
+    f_args = sorted(f.arguments)
+    by_sig = {}
+    for w in sorted(g.arguments):
+        by_sig.setdefault(signature(g, w), []).append(w)
+    candidates = {}
+    for v in f_args:
+        cands = by_sig.get(signature(f, v))
+        if not cands:
+            return None
+        candidates[v] = cands
+    order = sorted(f_args, key=lambda v: (len(candidates[v]), v))
+    mapping = {}
+    used = set()
+
+    def consistent(v, w):
+        for u, x in mapping.items():
+            if ((u, v) in f.attacks) != ((x, w) in g.attacks):
+                return False
+            if ((v, u) in f.attacks) != ((w, x) in g.attacks):
+                return False
+        return True
+
+    def backtrack(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in candidates[v]:
+            if w in used or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if backtrack(i + 1):
+                return True
+            del mapping[v]
+            used.remove(w)
+        return False
+
+    return dict(mapping) if backtrack(0) else None
+
 
 # --- oracles -------------------------------------------------------------
 
