@@ -19,6 +19,7 @@ import argparse
 import datetime
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -53,7 +54,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"perfbench in {tree} was not correct:\n{proc.stdout}{proc.stderr}")
     machine = next((line for line in lines if line.startswith("# machine:")), "")
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "machine": dict(item.split("=", 1) for item in machine.split()[2:])}
+            "machine": dict(re.findall(r"(\w+)=(\S+)", machine))}
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
