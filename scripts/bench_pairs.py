@@ -4,13 +4,14 @@
     python3 scripts/bench_pairs.py --base f5d5010 --workload rank-large --seed 0 --pairs 10
 
 The base revision is exported with ``git archive`` into a temporary
-directory.  Each pair runs ``perfbench/run.py --trace 0`` once in the base
-tree and once in this checkout, unchanged, one run at a time; the side that
-goes first alternates from pair to pair, so slow drift of the machine hits
-both sides alike.  A run that is not ``correct`` or has failed operations
-stops the comparison.  The entry appended to ``--out`` (default
-BENCH_rank.json) holds every run's end-to-end metrics, and per metric the
-median and quartiles of each side and the number of pairs the change won.
+directory.  Each pair runs ``perfbench/run.py --trace 0``, unchanged and for
+BENCHMARK.json's ``run_seconds``, once in the base tree and once in this
+checkout, one run at a time; the side that goes first alternates from pair
+to pair, so slow drift of the machine hits both sides alike.  A run that
+is not ``correct`` or has failed operations stops the comparison.  The
+entry appended to ``--out`` (default BENCH_rank.json) holds every run's
+end-to-end metrics, and per metric the median and quartiles of each side
+and the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="rank-large")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=26)
     parser.add_argument("--out", default=str(ROOT / "BENCH_rank.json"))
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     runs, machine = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
             pair = {}
             order = (("base", base_tree), ("change", ROOT))
             for side, tree in order if i % 2 == 0 else reversed(order):
-                result = run_once(tree, args.workload, args.seed, args.seconds)
+                result = run_once(tree, args.workload, args.seed, seconds)
                 pair[side] = result["metrics"]
                 machine = machine or result["machine"]
             runs.append(pair)
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
         "change": git("describe", "--always", "--dirty"),
         "machine": {k: machine.get(k) for k in ("cores", "ram_gb", "python", "numpy", "blas")},
         "command": " ".join(["scripts/bench_pairs.py"] + (argv if argv is not None else sys.argv[1:])),
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "workload": args.workload, "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
         "summary": summarise(runs, better),
         "runs": runs,
     }
