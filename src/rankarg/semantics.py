@@ -67,12 +67,18 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-#: Damped map steps taken before Newton starts, and the first weight a damped
-#: step gives the map's value: x <- x + damping * (F(x) - x).
-_WARMUP_STEPS = 20
+#: The first weight a damped step gives the map's value:
+#: x <- x + damping * (F(x) - x).
 _DAMPING = 0.5
 #: Damped steps without a new lowest residual after which the damping halves.
 _STALL_STEPS = 10
+#: Residual below which a Newton step is tried; above it every step is
+#: damped.  Newton from x = upper overshoots on saf, and the clipped steps
+#: stall; the damped steps bring the iterate near the fixed point first.
+_NEWTON_GATE = 0.1
+#: A Newton trial is accepted only if it brings the residual below this
+#: fraction of the current one; a smaller gain takes a damped step instead.
+_NEWTON_DECREASE = 0.5
 #: Step halvings the Newton line search tries before it gives up.
 _LINE_SEARCH_HALVINGS = 10
 #: Largest dense Jacobian (8 * n * n bytes) a Newton step may allocate;
@@ -112,15 +118,18 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     identity plus these entries.  Iterates stay in the box [0, upper], where
     F is defined and which F maps into.
 
-    The first _WARMUP_STEPS steps are damped map steps.  Every later step is
-    a Newton step on x - F(x) with a backtracking line search, or a damped
-    map step when Newton is unavailable: the Jacobian is singular, the line
-    search finds no decrease, or the Jacobian exceeds _JACOBIAN_BUDGET_BYTES.
-    After _STALL_STEPS damped steps in a row without a new lowest residual
-    the damping halves, which stops the oscillation of dense attack cycles.
-    The solve stops once the residual max|x - F(x)| is at most cfg.tol, and
-    raises NonConvergenceError when cfg.max_iter steps of any kind have not
-    got there.
+    While the residual max|x - F(x)| is at least _NEWTON_GATE, every step
+    is a damped map step.  Below it, each step is a Newton step on x - F(x)
+    with a backtracking line search that accepts a trial only if its
+    residual is under _NEWTON_DECREASE times the current one.  A damped
+    step stands in when Newton is unavailable: the Jacobian is singular, no
+    trial decreases the residual enough, or the Jacobian exceeds
+    _JACOBIAN_BUDGET_BYTES.  After _STALL_STEPS damped steps in a row
+    without a new lowest residual the damping halves, which stops the
+    oscillation of dense attack cycles.  The solve stops once the residual
+    is at most cfg.tol, and raises NonConvergenceError, naming its damped
+    and Newton steps and the residual reached, when cfg.max_iter steps of
+    any kind have not got there.
     """
     names, src, dst = _edge_arrays(framework)
     n = len(names)
@@ -130,16 +139,17 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     fx = fmap(x, src, dst)
     residual = np.max(np.abs(x - fx), initial=0.0)
     damping, best, stalled = _DAMPING, residual, 0
-    steps = 0
+    damped = newton = 0
     while residual > cfg.tol:
-        if steps >= cfg.max_iter:
+        if damped + newton >= cfg.max_iter:
             raise NonConvergenceError(
-                f"{label} did not converge within {steps} iterations (residual {residual:.1e})")
-        steps += 1
+                f"{label} did not converge within {damped + newton} iterations "
+                f"({damped} damped, {newton} Newton; residual {residual:.1e})")
         found = None
-        if newton_fits and steps > _WARMUP_STEPS:
+        if newton_fits and residual < _NEWTON_GATE:
             found = _newton_step(x, fx, residual, upper, fmap, slopes, src, dst)
         if found is None:
+            damped += 1
             x = x + damping * (fx - x)
             fx = fmap(x, src, dst)
             residual = np.max(np.abs(x - fx))
@@ -147,12 +157,14 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
             if stalled == _STALL_STEPS:
                 damping, stalled = damping * 0.5, 0
         else:
+            newton += 1
             x, fx, residual = found
     return dict(zip(names, x.tolist()))
 
 
 def _newton_step(x, fx, residual, upper, fmap, slopes, src, dst):
-    """(x, F(x), residual) after one Newton step, or None if none helps."""
+    """(x, F(x), residual) after one Newton step, or None if no trial cuts
+    the residual below _NEWTON_DECREASE times its current value."""
     n = len(x)
     jacobian = np.zeros((n, n))
     jacobian[dst, src] = slopes(x, fx, src, dst)
@@ -168,7 +180,7 @@ def _newton_step(x, fx, residual, upper, fmap, slopes, src, dst):
         trial = np.clip(x + step * direction, 0.0, upper)
         f_trial = fmap(trial, src, dst)
         trial_residual = np.max(np.abs(trial - f_trial))
-        if trial_residual < residual:
+        if trial_residual < _NEWTON_DECREASE * residual:
             return trial, f_trial, trial_residual
         step *= 0.5
     return None

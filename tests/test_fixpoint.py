@@ -130,8 +130,8 @@ def test_over_budget_converges_by_damped_steps(monkeypatch):
             assert max(abs(damped[a] - newton[sid, f][a]) for a in f.arguments) < 1e-9
 
 
-def test_newton_finishes_within_five_steps_of_the_warmup():
-    quick = SolverConfig(max_iter=semantics._WARMUP_STEPS + 5)
+def test_newton_converges_within_fifteen_steps():
+    quick = SolverConfig(max_iter=15)
     rng = random.Random(5)
     frameworks = small_frameworks() + [random_framework(rng, 150, 0.03) for _ in range(3)]
     for _, solve, _, residual in CASES:
@@ -139,8 +139,33 @@ def test_newton_finishes_within_five_steps_of_the_warmup():
             assert residual(framework, solve(framework, quick)) < 1e-11
 
 
-def test_max_iter_counts_newton_steps():
+def test_max_iter_counts_newton_steps(monkeypatch):
     framework = random_framework(random.Random(5), 150, 0.03)
-    budget = semantics._WARMUP_STEPS + 1  # the warm-up and one Newton step
-    with pytest.raises(NonConvergenceError, match=f"within {budget} iterations"):
+    newton_step, taken = semantics._newton_step, []
+
+    def counted(*args):
+        found = newton_step(*args)
+        taken.append(found is not None)
+        return found
+
+    monkeypatch.setattr(semantics, "_newton_step", counted)
+    budget = 8  # the solve takes ten steps: six damped ones, then four Newton steps
+    with pytest.raises(NonConvergenceError, match=f"within {budget} iterations") as raised:
         saf_scores(framework, SolverConfig(max_iter=budget))
+    newton = sum(taken)
+    assert newton >= 1
+    assert f"({budget - newton} damped, {newton} Newton; residual " in str(raised.value)
+
+
+def test_clipped_newton_steps_do_not_stall():
+    # Newton from the start, accepting any decrease, alternates clipped Newton
+    # steps with damped ones here and stalls near residual 0.05 under saf
+    attacks = {"a0": "a0 a1 a2 a3", "a1": "a0 a2 a3 a4", "a2": "a0 a1 a3",
+               "a3": "a0 a4", "a4": "a0 a1 a3 a4"}
+    framework = ArgFramework.make(attacks, [(a, b) for a, targets in attacks.items()
+                                            for b in targets.split()])
+    quick = SolverConfig(max_iter=15)
+    for _, solve, reference, residual in CASES:
+        ours, theirs = solve(framework, quick), reference(framework)
+        assert residual(framework, ours) < 1e-11
+        assert max(abs(ours[a] - theirs[a]) for a in framework.arguments) < 1e-9

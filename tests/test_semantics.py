@@ -94,7 +94,7 @@ def test_cat_two_cycle_golden_ratio(cycle2):
 def test_cat_nonconvergence_raises(ex1):
     with pytest.raises(NonConvergenceError,
                        match=r"^categoriser did not converge within 2 iterations "
-                             r"\(residual \d\.\de[-+]\d\d\)$"):
+                             r"\(2 damped, 0 Newton; residual \d\.\de[-+]\d\d\)$"):
         categoriser_scores(ex1, SolverConfig(max_iter=2))
 
 
