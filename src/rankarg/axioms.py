@@ -29,7 +29,7 @@ from .framework import (
     rename,
     walk_counts,
 )
-from .orders import Ranking, group_geq, group_gt
+from .orders import Ranking, group_geq, group_gt, ranking_from_scores
 from .semantics import NonConvergenceError, SemanticsRef, SizeCapExceededError
 
 
@@ -378,6 +378,14 @@ def _grafted_clone(framework, target, kind, length):
     return graft_branch(merged, gamma[target], kind, length), gamma
 
 
+def _branch_added(framework, a, kind, length, improved_is_clone, **_):
+    """(F*, better, worse): the graft built for argument a, and the pair the
+    branch-addition property demands strictly of F*.  Takes the keywords of
+    a _check_branch_addition partial whole."""
+    star, gamma = _grafted_clone(framework, a, kind, length)
+    return (star, gamma[a], a) if improved_is_clone else (star, a, gamma[a])
+
+
 def _check_branch_addition(framework, sem, rank, _seed, *, prop, only_attacked, kind,
                            length, improved_is_clone):
     todo = sorted(a for a in framework.arguments
@@ -385,11 +393,10 @@ def _check_branch_addition(framework, sem, rank, _seed, *, prop, only_attacked, 
     if not todo:
         return _na("no argument satisfies the premise")
     for a in todo:
-        star, gamma = _grafted_clone(framework, a, kind, length)
+        star, better, worse = _branch_added(framework, a, kind, length, improved_is_clone)
         ranking, stop = rank(star)
         if stop:
             return stop
-        better, worse = (gamma[a], a) if improved_is_clone else (a, gamma[a])
         if not ranking.strict(better, worse):
             return _violated(framework, prop, sem.sid, (better, worse), constructed=star,
                              note=f"grafting a {kind} branch onto the copy of {a} "
@@ -555,27 +562,32 @@ def _cp_demand(framework, winner, loser):
                   f"{len(framework.attackers(loser))} = |attackers({loser})|")
 
 
+def _count_ranking(framework: ArgFramework) -> Ranking:
+    """The ranking CP forces: fewer direct attackers is strictly better."""
+    return ranking_from_scores({a: len(framework.attackers(a)) for a in framework.arguments},
+                               "lower", tol=0)
+
+
+def _forced_pairs(prop: PropertyId, framework: ArgFramework) -> set[tuple[str, str]]:
+    """The pairs the premise of a pair-rule property demands on ``framework``,
+    with any ranking it reads taken to be the one CP forces."""
+    pairs = _CHECKERS[prop].premise(framework, _count_ranking(framework))
+    return set() if isinstance(pairs, str) else set(pairs)
+
+
 def _search_cp_qp() -> tuple[ArgFramework, Demand, Demand]:
     from .fuzz import enumerate_all
 
     for n in (3, 4):
         for candidate in enumerate_all(n, allow_self_attacks=True):
-            for a in sorted(candidate.arguments):
-                for b in sorted(candidate.arguments):
-                    if a == b:
-                        continue
-                    if not len(candidate.attackers(a)) < len(candidate.attackers(b)):
-                        continue
-                    att_b = candidate.attackers(b)
-                    for c in sorted(candidate.attackers(a)):
-                        if all(len(candidate.attackers(c)) < len(candidate.attackers(d))
-                               for d in att_b):
-                            cp = _cp_demand(candidate, a, b)
-                            qp = Demand(
-                                PropertyId.QP, b, a,
+            quality = _forced_pairs(PropertyId.QP, candidate)
+            for a, b in sorted(_forced_pairs(PropertyId.CP, candidate)):
+                if (b, a) in quality:
+                    c = min(_dominators(candidate, _count_ranking(candidate), b, a))
+                    qp = Demand(PropertyId.QP, b, a,
                                 f"{c} attacks {a} and CP forces {c} above every "
                                 f"attacker of {b} (strictly fewer attackers each)")
-                            return candidate, cp, qp
+                    return candidate, _cp_demand(candidate, a, b), qp
     raise AssertionError("no small count-vs-quality clash found")
 
 
@@ -603,71 +615,50 @@ def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitnes
 
     if key == frozenset({PropertyId.CP, PropertyId.PLUS_DB}):
         base = ArgFramework.make("ax", [("x", "a")])
-        star, gamma = _grafted_clone(base, "a", "defense", 2)
-        cp = _cp_demand(star, "a", gamma["a"])
-        db = Demand(PropertyId.PLUS_DB, gamma["a"], "a",
+        star, better, worse = _branch_added(base, "a", **_CHECKERS[PropertyId.PLUS_DB].keywords)
+        cp = _cp_demand(star, worse, better)
+        db = Demand(PropertyId.PLUS_DB, better, worse,
                     "the grafted defense branch must strictly improve the attacked copy")
         return IncompatibilityWitness((PropertyId.CP, PropertyId.PLUS_DB), star, (cp, db),
                                       base=base)
 
     base = ArgFramework.make("a")
-    star, gamma = _grafted_clone(base, "a", "defense", 2)
-    vp = Demand(PropertyId.VP, "a", gamma["a"],
-                f"a is unattacked and {gamma['a']} is attacked by the grafted branch")
-    db = Demand(PropertyId.PLUS_DB_STRICT, gamma["a"], "a",
+    star, better, worse = _branch_added(base, "a", **_CHECKERS[PropertyId.PLUS_DB_STRICT].keywords)
+    vp = Demand(PropertyId.VP, worse, better,
+                f"{worse} is unattacked and {better} is attacked by the grafted branch")
+    db = Demand(PropertyId.PLUS_DB_STRICT, better, worse,
                 "the grafted defense branch must strictly improve the copy")
     return IncompatibilityWitness((PropertyId.VP, PropertyId.PLUS_DB_STRICT), star, (vp, db),
                                   base=base)
 
 
-def replay_incompatibility(witness: IncompatibilityWitness) -> bool:
-    """Re-verify the structural premises behind both demands.
+def _demand_holds(witness: IncompatibilityWitness, demand: Demand) -> bool:
+    """Whether the premise of ``demand.prop``, as the checker reads it, puts
+    its winner strictly above its loser in the witness framework."""
+    checker = _CHECKERS[demand.prop]
+    pair = (demand.winner, demand.loser)
+    if isinstance(checker, PairRule):
+        return pair in _forced_pairs(demand.prop, witness.framework)
+    if not (isinstance(checker, partial) and checker.func is _check_branch_addition):
+        return False
+    base, rule = witness.base, checker.keywords
+    target = demand.loser if rule["improved_is_clone"] else demand.winner
+    if base is None or target not in base.arguments or (
+            rule["only_attacked"] and not base.is_attacked(target)):
+        return False
+    star, better, worse = _branch_added(base, target, **rule)
+    return star == witness.framework and (better, worse) == pair
 
-    The two demands must target the same argument pair in opposite
-    directions, and each premise must hold in the witness framework.
+
+def replay_incompatibility(witness: IncompatibilityWitness) -> bool:
+    """Re-verify a clash through the checker's own premises.
+
+    The pair must be a known clash, its two properties must be those of the
+    two demands in order, the demands must rank the same two arguments in
+    opposite directions, and each property's premise must demand its side.
     """
     first, second = witness.demands
-    if {first.winner, first.loser} != {second.winner, second.loser}:
-        return False
-    if first.winner == second.winner:
-        return False
-    framework = witness.framework
-    for demand in witness.demands:
-        if demand.prop is PropertyId.CP:
-            if not len(framework.attackers(demand.winner)) < len(framework.attackers(demand.loser)):
-                return False
-        elif demand.prop is PropertyId.VP:
-            if framework.is_attacked(demand.winner) or not framework.is_attacked(demand.loser):
-                return False
-        elif demand.prop is PropertyId.AVSFD:
-            if has_cycle(framework):
-                return False
-            profiles = branch_profiles(framework)
-            defenders = walk_counts(framework, 2)
-            if profiles[demand.winner].attack_lengths:
-                return False
-            if len(framework.attackers(demand.loser)) != 1 or defenders.count_in(demand.loser, 2):
-                return False
-        elif demand.prop in (PropertyId.PLUS_DB, PropertyId.PLUS_DB_STRICT):
-            if witness.base is None:
-                return False
-            star, gamma = _grafted_clone(witness.base, demand.loser, "defense", 2)
-            if star != framework or gamma[demand.loser] != demand.winner:
-                return False
-            if demand.prop is PropertyId.PLUS_DB and not witness.base.is_attacked(demand.loser):
-                return False
-        elif demand.prop is PropertyId.QP:
-            # QP(A, B): some attacker of B dominates every attacker of A, so
-            # A wins.  Here A = demand.winner, B = demand.loser; dominance is
-            # the one CP forces (strictly fewer attackers).
-            candidates = framework.attackers(demand.loser)
-            to_beat = framework.attackers(demand.winner)
-            ok = any(
-                all(len(framework.attackers(c)) < len(framework.attackers(d)) for d in to_beat)
-                for c in candidates
-            )
-            if not ok:
-                return False
-        else:
-            return False
-    return True
+    return (frozenset(witness.pair) in INCOMPATIBLE_PAIRS
+            and tuple(witness.pair) == (first.prop, second.prop)
+            and (first.winner, first.loser) == (second.loser, second.winner)
+            and all(_demand_holds(witness, demand) for demand in witness.demands))

@@ -9,6 +9,7 @@ classical grounded labelling collapsed to acceptability tiers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from operator import neg
 from typing import Iterable
@@ -39,6 +40,17 @@ class SizeCapExceededError(ValueError):
     cap or the memory budget of its game."""
 
 
+#: Per SolverConfig field: accepted types (never bool), value test, rule.
+#: A finite number is one a float holds, which excludes nan, inf and huge ints.
+_CONFIG_RULES = (
+    ("epsilon", (int, float), lambda v: 0 < v <= sys.float_info.max, "a finite number > 0"),
+    ("tol", (int, float), lambda v: 0 <= v <= sys.float_info.max, "a finite number >= 0"),
+    ("max_iter", int, lambda v: v >= 0, "an integer >= 0"),
+    ("lex_depth", (int, type(None)), lambda v: v is None or v >= 1, "None or an integer >= 1"),
+    ("mt_cap", int, lambda v: v >= 0, "an integer >= 0"),
+)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Numeric knobs shared by all semantics.
@@ -47,7 +59,8 @@ class SolverConfig:
     saf solve stops, and ``max_iter`` bounds its steps (see _solve_fixpoint).
     ``lex_depth`` of None means "2*|A| + 2 for the framework at hand", which
     is exact for walk-count comparisons on acyclic graphs and a documented
-    cutoff on cyclic ones.
+    cutoff on cyclic ones.  Values of a wrong type raise TypeError, and
+    values outside _CONFIG_RULES raise ValueError.
     """
 
     epsilon: float = 0.1
@@ -56,12 +69,16 @@ class SolverConfig:
     lex_depth: int | None = None
     mt_cap: int = 14
 
+    def __post_init__(self):
+        for name, kinds, valid, rule in _CONFIG_RULES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{name} must be {rule}, not {value!r}")
+            if not valid(value):
+                raise ValueError(f"{name} must be {rule}, not {value!r}")
+
     def depth_for(self, framework: ArgFramework) -> int:
         return self.lex_depth if self.lex_depth is not None else 2 * len(framework.arguments) + 2
-
-    def pinned_to(self, framework: ArgFramework) -> "SolverConfig":
-        """Copy with the truncation depth frozen for cross-framework comparisons."""
-        return replace(self, lex_depth=self.depth_for(framework))
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -220,8 +237,6 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
     Score of a = tau * (1 - probabilistic sum of attacker scores); the empty
     aggregation is 0, so unattacked arguments sit at tau.
     """
-    if cfg.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     tau = 1.0 / (1.0 + cfg.epsilon)
 
     def fmap(x, src, dst):
@@ -528,9 +543,11 @@ class SemanticsRef:
 
     def pinned_to(self, framework: ArgFramework) -> "SemanticsRef":
         """This semantics with the truncation depth frozen at the one for
-        ``framework``; the semantics that read no depth come back as they
-        are, so rankings under them are shared with unpinned requests."""
-        if self.sid not in ("dbs", "bbs"):
+        ``framework``.  Only bbs needs it: two dbs walk-count sequences in an
+        m-argument component first differ by step m - 1 if at all
+        (Cayley-Hamilton), within every default depth.  The others come back
+        as they are, so rankings under them are shared with unpinned requests."""
+        if self.sid != "bbs":
             return self
-        return replace(self, cfg=self.cfg.pinned_to(framework))
+        return replace(self, cfg=replace(self.cfg, lex_depth=self.cfg.depth_for(framework)))
 

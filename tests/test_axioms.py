@@ -1,6 +1,8 @@
 """Property-checker tests: premise detection, verdicts on the worked
 examples, change-property constructions, and the incompatibility witnesses."""
 
+from dataclasses import replace
+
 import pytest
 
 from rankarg.axioms import (
@@ -11,6 +13,7 @@ from rankarg.axioms import (
     PropertyId,
     PropertyVerdict,
     VerdictStatus,
+    _demand_holds,
     audit_dependencies,
     branch_roots,
     check,
@@ -281,6 +284,40 @@ def test_all_incompatibility_witnesses_replay():
         assert replay_incompatibility(witness), pair
         first, second = witness.demands
         assert (first.winner, first.loser) == (second.loser, second.winner)
+
+
+def _relabelled(pair, prop):
+    return lambda w: replace(w, pair=pair, demands=(replace(w.demands[0], prop=prop),
+                                                     w.demands[1]))
+
+
+@pytest.mark.parametrize("clash, tamper", [
+    # QP's premise needs an attacked winner; here it would demand a over a_c
+    ((PropertyId.VP, PropertyId.PLUS_DB_STRICT),
+     _relabelled((PropertyId.QP, PropertyId.PLUS_DB_STRICT), PropertyId.QP)),
+    ((PropertyId.CP, PropertyId.QP), lambda w: replace(w, pair=(PropertyId.VP, PropertyId.TOT))),
+    ((PropertyId.CP, PropertyId.QP), lambda w: replace(w, demands=w.demands[::-1])),
+    ((PropertyId.CP, PropertyId.PLUS_DB), lambda w: replace(w, demands=tuple(
+        replace(d, winner=d.loser, loser=d.winner) for d in w.demands))),
+    ((PropertyId.VP, PropertyId.PLUS_DB_STRICT), lambda w: replace(w, base=None)),
+], ids=["qp-unattacked-winner", "relabelled-vp-tot", "swapped-demands", "reversed-demands",
+        "no-graft-base"])
+def test_replay_rejects_tampered_witnesses(clash, tamper):
+    witness = incompatibility_witness(clash)
+    assert replay_incompatibility(witness)
+    assert not replay_incompatibility(tamper(witness))
+
+
+def test_replay_reads_the_qp_premise():
+    # the unknown (QP, +DB!) label alone would sink the witness; the QP
+    # demand is refused on its own too, as _qp_premise excludes an
+    # unattacked winner
+    witness = _relabelled((PropertyId.QP, PropertyId.PLUS_DB_STRICT), PropertyId.QP)(
+        incompatibility_witness({PropertyId.VP, PropertyId.PLUS_DB_STRICT}))
+    qp, db = witness.demands
+    assert not witness.framework.is_attacked(qp.winner)
+    assert not _demand_holds(witness, qp)
+    assert _demand_holds(witness, db)
 
 
 def test_cp_avsfd_clash_is_figure2():

@@ -79,6 +79,25 @@ def test_rank_epsilon_flag_changes_scores(ex1_path, capsys):
     assert record["scores"]["b"] == pytest.approx(1 / 1.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--max-iter", "-1"),
+    ("--lex-depth", "0"), ("--mt-cap", "-1"), ("--epsilon", "0"),
+])
+def test_rank_rejects_out_of_range_settings(ex1_path, capsys, flag, value):
+    assert main(["rank", ex1_path, "cat", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:].replace('-', '_')} must be" in captured.err
+
+
+def test_malformed_env_seed_exits_2(ex1_path, capsys, monkeypatch):
+    monkeypatch.setenv("RANKARG_SEED", "abc")
+    assert main(["check", ex1_path, "Abs", "cat"]) == 2
+    assert "RANKARG_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("RANKARG_SEED", "3")
+    assert main(["check", ex1_path, "Abs", "cat"]) == 0
+
+
 def test_survey_contains_all_rows(ex1_path, capsys):
     assert main(["survey", ex1_path]) == 0
     out = capsys.readouterr().out
@@ -175,8 +194,11 @@ _GOOD_WITNESS = {"property": "VP", "semantics": "cat", "apx": "arg(a).\n"}
     json.dumps({**_GOOD_WITNESS, "config": {"max_iter": "x"}}),
     json.dumps({**_GOOD_WITNESS, "config": {"mt_cap": True}}),
     json.dumps({**_GOOD_WITNESS, "config": {"depth": 3}}),
+    json.dumps({**_GOOD_WITNESS, "config": {"tol": float("nan")}}),
+    json.dumps({**_GOOD_WITNESS, "config": {"epsilon": 10**400}}),
 ], ids=["empty-object", "not-json", "array", "null-config", "numeric-apx",
-        "string-max-iter", "bool-mt-cap", "unknown-config-field"])
+        "string-max-iter", "bool-mt-cap", "unknown-config-field", "nan-tol",
+        "huge-int-epsilon"])
 def test_witness_rejects_garbage(tmp_path, body):
     bad = tmp_path / "w.json"
     bad.write_text(body)

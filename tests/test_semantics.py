@@ -185,6 +185,18 @@ def test_dbs_signs_follow_walk_counts():
                 assert entry == (expected if i % 2 == 1 else -expected)
 
 
+def test_dbs_steps_past_n_minus_1_never_split_a_tie():
+    # Cayley-Hamilton: two walk-count sequences of an n-argument framework
+    # that agree up to step n - 1 agree everywhere, so the default depth
+    # 2n + 2 decides nothing that depth n - 1 leaves tied (which is why the
+    # In check need not pin the dbs depth)
+    rng = random.Random(8)
+    for _ in range(300):
+        f = random_framework(rng, rng.randint(1, 8), rng.random() * 0.6)
+        short = SolverConfig(lex_depth=max(len(f.arguments) - 1, 1))
+        assert dbs_ranking(f, short) == dbs_ranking(f)
+
+
 # --- burden numbers ----------------------------------------------------------
 
 
@@ -410,3 +422,24 @@ def test_semantics_ref_validation():
     ref = SemanticsRef("cat")
     assert ref.scores(ArgFramework.make("a")) == {"a": 1.0}
     assert SemanticsRef("dbs").scores(ArgFramework.make("a")) is None
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("epsilon", 0.0, ValueError), ("epsilon", -1, ValueError),
+    ("epsilon", math.inf, ValueError), ("epsilon", math.nan, ValueError),
+    ("epsilon", 10**400, ValueError), ("tol", 10**400, ValueError),
+    ("tol", -1e-12, ValueError), ("tol", math.inf, ValueError), ("tol", math.nan, ValueError),
+    ("max_iter", -1, ValueError), ("max_iter", 2.0, TypeError),
+    ("lex_depth", 0, ValueError), ("lex_depth", "3", TypeError),
+    ("mt_cap", -1, ValueError), ("mt_cap", None, TypeError),
+    ("epsilon", True, TypeError), ("tol", False, TypeError), ("max_iter", True, TypeError),
+    ("lex_depth", True, TypeError), ("mt_cap", True, TypeError),
+])
+def test_solver_config_rejects_invalid_values(field, value, error):
+    with pytest.raises(error, match=f"^{field} must be "):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_the_edges_of_each_range():
+    SolverConfig(epsilon=1, tol=0, max_iter=0, lex_depth=1, mt_cap=0)
+    SolverConfig(epsilon=1e-300, tol=0.5, lex_depth=None)
