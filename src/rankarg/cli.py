@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (check: Holds/NotApplicable; witness: confirmed), 1
 check found a violation or a witness failed to replay, 2 input/parse error
-(including a malformed witness file, a solver setting SolverConfig refuses
-and a non-integer RANKARG_SEED), 3 semantics error (cycle, size cap,
+(including a malformed witness file, a solver setting SolverConfig refuses,
+a fuzz budget FuzzBudget refuses and a non-integer RANKARG_SEED), 3 semantics error (cycle, size cap,
 non-convergence) or Inconclusive verdict.
 """
 
@@ -160,8 +160,12 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def cmd_fuzz(args) -> int:
-    budget = FuzzBudget(seed=_seed(args), random_trials=args.trials,
-                        mt_random_trials=args.mt_trials)
+    try:
+        budget = FuzzBudget(seed=_seed(args), random_trials=args.trials,
+                            mt_random_trials=args.mt_trials)
+    except (TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     semantics = args.semantics.split(",") if args.semantics else list(SEMANTICS_IDS)
     properties = ([parse_property(p) for p in args.properties.split(",")]
                   if args.properties else None)

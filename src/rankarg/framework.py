@@ -113,9 +113,6 @@ class ArgFramework:
             raise FrameworkError(f"no attack {pair}")
         return ArgFramework(self.arguments, self.attacks - {pair})
 
-    def with_attack(self, pair: tuple[str, str]) -> "ArgFramework":
-        return ArgFramework(self.arguments, self.attacks | {pair})
-
 
 def parse_apx(text: str) -> ArgFramework:
     """Parse apx facts (``arg(X).`` / ``att(X,Y).``) into a framework.

@@ -20,7 +20,7 @@ from .axioms import (
     check,
 )
 from .framework import ArgFramework, framework_key, has_cycle, serialize_apx
-from .semantics import SEMANTICS_IDS, SemanticsRef, SolverConfig
+from .semantics import SEMANTICS_IDS, SemanticsRef, SolverConfig, check_fields
 
 ENUMERATION_CAP = 4
 
@@ -224,9 +224,40 @@ for _prop, _row in _TABLE_ROWS.items():
         EXPECTED_SATISFACTION[(_sid, _prop)] = _flag
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_size_range(value) -> bool:
+    return len(value) == 2 and all(map(_is_int, value)) and 1 <= value[0] <= value[1]
+
+
+def _is_density(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+
+
+#: Per FuzzBudget field, as in semantics._CONFIG_RULES: types, value test, rule.
+_BUDGET_RULES = (
+    ("seed", int, lambda v: True, "an integer"),
+    ("random_trials", int, lambda v: v >= 0, "an integer >= 0"),
+    ("densities", tuple, lambda v: len(v) > 0 and all(map(_is_density, v)),
+     "a nonempty tuple of numbers in [0, 1]"),
+    ("size_range", tuple, _is_size_range, "a pair of integers 1 <= low <= high"),
+    ("exhaustive_n", int, lambda v: 0 <= v <= ENUMERATION_CAP,
+     f"an integer in 0..{ENUMERATION_CAP}"),
+    ("mt_random_trials", int, lambda v: v >= 0, "an integer >= 0"),
+    ("mt_size_range", tuple, _is_size_range, "a pair of integers 1 <= low <= high"),
+    ("mt_game_cap", int, lambda v: v >= 0, "an integer >= 0"),
+)
+
+
 @dataclass(frozen=True)
 class FuzzBudget:
-    """Default corpus sizes; the game-based lane is kept much smaller."""
+    """Default corpus sizes; the game-based lane is kept much smaller.
+
+    Values of a wrong type raise TypeError, and values outside
+    _BUDGET_RULES raise ValueError.
+    """
 
     seed: int = 0
     random_trials: int = 2000
@@ -236,6 +267,9 @@ class FuzzBudget:
     mt_random_trials: int = 150
     mt_size_range: tuple[int, int] = (2, 5)
     mt_game_cap: int = 10
+
+    def __post_init__(self):
+        check_fields(self, _BUDGET_RULES)
 
 
 def _random_corpus(budget: FuzzBudget, trials: int, size_range, acyclic: bool,

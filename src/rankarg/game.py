@@ -1,10 +1,14 @@
 """Exact-in-spirit value of a finite two-player zero-sum matrix game.
 
-The row player maximises.  The game is reduced to the classic pair of linear
-programs: after shifting payoffs so every entry is >= 1, the column player's
-scaled problem  max 1'w  s.t. M w <= 1, w >= 0  starts feasible at w = 0 and
-is solved with a dense primal simplex.  The optimal objective is 1/value and
-the row strategy is read off the reduced costs of the slack columns.
+The row player maximises.  The first step is the pure saddle test: when the
+largest row minimum equals the smallest column maximum, that entry is the
+value (von Neumann's minimax theorem), and the pure pair of a maximin row and
+a minimax column certifies it, so no tableau is built.  Any other game is
+reduced to the classic pair of linear programs: after shifting payoffs so
+every entry is >= 1, the column player's scaled problem  max 1'w  s.t.
+M w <= 1, w >= 0  starts feasible at w = 0 and is solved with a dense primal
+simplex.  The optimal objective is 1/value and the row strategy is read off
+the reduced costs of the slack columns.
 """
 
 from __future__ import annotations
@@ -29,12 +33,44 @@ class GameSolution:
     pivots: int
 
 
+def pure_saddle(payoff: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) of a pure saddle point of ``payoff``, or None if it has none.
+
+    i is the first row that attains the largest row minimum and j the first
+    column that attains the smallest column maximum.  They form a saddle
+    exactly when the two are equal as floats: row i then guarantees that
+    value against every column and column j concedes at most it on every
+    row, so no tolerance can admit a pair that is not optimal.
+    """
+    row_min = payoff.min(axis=1)
+    col_max = payoff.max(axis=0)
+    i = int(np.argmax(row_min))
+    j = int(np.argmin(col_max))
+    return (i, j) if row_min[i] == col_max[j] else None
+
+
+def _solution(payoff: np.ndarray, value: float, p: np.ndarray, q: np.ndarray,
+              pivots: int) -> GameSolution:
+    guaranteed_low = float((p @ payoff).min())
+    guaranteed_high = float((payoff @ q).max())
+    return GameSolution(
+        value=value,
+        row_strategy=tuple(float(x) for x in p),
+        column_strategy=tuple(float(x) for x in q),
+        duality_gap=guaranteed_high - guaranteed_low,
+        pivots=pivots,
+    )
+
+
 def game_value(matrix) -> GameSolution:
     """Maximin value and an optimal mixed row strategy.
 
-    Accepts any finite real matrix (list of rows or ndarray).  The duality
-    gap reported is max_i (M q)_i - min_j (p' M)_j computed from the two
-    recovered strategies; it bounds the numerical error of ``value``.
+    Accepts any finite real matrix (list of rows or ndarray).  A game with a
+    pure saddle point (see pure_saddle) is answered by that entry and its
+    one-hot strategies, with no pivot; any other goes through the simplex.
+    The duality gap reported is max_i (M q)_i - min_j (p' M)_j computed from
+    the two strategies; it bounds the numerical error of ``value`` and is
+    exactly 0 on a saddle.
     """
     payoff = np.asarray(matrix, dtype=float)
     if payoff.ndim != 2 or payoff.size == 0:
@@ -42,6 +78,12 @@ def game_value(matrix) -> GameSolution:
     if not np.all(np.isfinite(payoff)):
         raise ValueError("payoff entries must be finite")
     m, n = payoff.shape
+    saddle = pure_saddle(payoff)
+    if saddle is not None:
+        i, j = saddle
+        p, q = np.zeros(m), np.zeros(n)
+        p[i] = q[j] = 1.0
+        return _solution(payoff, float(payoff[i, j]), p, q, pivots=0)
     shift = 1.0 - float(payoff.min())
     shifted = payoff + shift  # every entry >= 1
 
@@ -100,12 +142,4 @@ def game_value(matrix) -> GameSolution:
     p /= p.sum()
     q = np.maximum(col_raw, 0.0)
     q /= q.sum()
-    guaranteed_low = float((p @ payoff).min())
-    guaranteed_high = float((payoff @ q).max())
-    return GameSolution(
-        value=float(value),
-        row_strategy=tuple(float(x) for x in p),
-        column_strategy=tuple(float(x) for x in q),
-        duality_gap=guaranteed_high - guaranteed_low,
-        pivots=pivots,
-    )
+    return _solution(payoff, float(value), p, q, pivots)

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .framework import ArgFramework, branch_profiles, walk_counts
-from .game import GameSolution, game_value
+from .game import GameSolution, game_value, pure_saddle
 from .orders import Ranking, lex_compare, ranking_from_scores, ranking_from_vectors
 
 SEMANTICS_IDS = ("cat", "saf", "dbs", "bbs", "tuples", "mt", "grounded")
@@ -51,6 +51,18 @@ _CONFIG_RULES = (
 )
 
 
+def check_fields(obj, rules) -> None:
+    """Check each (name, kinds, valid, rule) of ``rules`` against ``obj``:
+    TypeError for a value of a wrong type (a bool is never an int), and
+    ValueError for one that fails ``valid``."""
+    for name, kinds, valid, rule in rules:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"{name} must be {rule}, not {value!r}")
+        if not valid(value):
+            raise ValueError(f"{name} must be {rule}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Numeric knobs shared by all semantics.
@@ -70,12 +82,7 @@ class SolverConfig:
     mt_cap: int = 14
 
     def __post_init__(self):
-        for name, kinds, valid, rule in _CONFIG_RULES:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise TypeError(f"{name} must be {rule}, not {value!r}")
-            if not valid(value):
-                raise ValueError(f"{name} must be {rule}, not {value!r}")
+        check_fields(self, _CONFIG_RULES)
 
     def depth_for(self, framework: ArgFramework) -> int:
         return self.lex_depth if self.lex_depth is not None else 2 * len(framework.arguments) + 2
@@ -432,14 +439,15 @@ def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
 
 def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG
                        ) -> tuple[dict[str, float], dict[str, GameSolution]]:
-    """Game value of every argument and the LP solution it comes from.
+    """Game value of every argument and the game solution it comes from.
 
     The game of argument a has the proponent sets containing a as rows and
-    all opponent sets as columns.  It is solved on its reduced form: the
-    conflict-free rows of one table per framework (_mt_game_table), with
-    exact duplicate rows and columns dropped, which leaves the value as it
-    is.  An argument in no conflict-free set (a self-attacker) plays the
-    all-zero game, reduced to the 1 x 1 game [0].
+    all opponent sets as columns.  Its rows are the conflict-free rows of one
+    table per framework (_mt_game_table).  A game with a pure saddle point
+    goes to game_value as it is, which answers it without a tableau; any
+    other is first reduced by dropping exact duplicate rows and columns,
+    which leaves the value as it is.  An argument in no conflict-free set (a
+    self-attacker) plays the all-zero game, reduced to the 1 x 1 game [0].
 
     Refuses with SizeCapExceededError beyond ``cfg.mt_cap`` arguments or
     beyond the memory budget _MT_BUDGET_BYTES.
@@ -451,10 +459,13 @@ def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONF
     rows, table = _mt_game_table(framework)
     scores, solutions = {}, {}
     for i, a in enumerate(sorted(framework.arguments)):
-        mine = table[(rows >> i) & 1 == 1]
-        game = _distinct_rows(_distinct_rows(mine).T).T if len(mine) else np.zeros((1, 1))
-        m, k = game.shape
-        _check_mt_budget(f"game of {a} ({m} x {k})", 8 * _MT_LIVE_ARRAYS * (m + 1) * (k + m + 1))
+        game = table[(rows >> i) & 1 == 1]
+        if not len(game):
+            game = np.zeros((1, 1))
+        elif pure_saddle(game) is None:  # a saddle is answered without a tableau
+            game = _distinct_rows(_distinct_rows(game).T).T
+            m, k = game.shape
+            _check_mt_budget(f"game of {a} ({m} x {k})", 8 * _MT_LIVE_ARRAYS * (m + 1) * (k + m + 1))
         sol = game_value(game)
         scores[a] = sol.value
         solutions[a] = sol

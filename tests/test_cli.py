@@ -90,6 +90,17 @@ def test_rank_rejects_out_of_range_settings(ex1_path, capsys, flag, value):
     assert f"{flag[2:].replace('-', '_')} must be" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "-5"), ("--mt-trials", "-1")])
+def test_fuzz_rejects_negative_trials(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    assert main(["fuzz", "--out", str(out_dir), "--semantics", "grounded",
+                 "--properties", "VP", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be an integer >= 0" in captured.err
+    assert not out_dir.exists()
+
+
 def test_malformed_env_seed_exits_2(ex1_path, capsys, monkeypatch):
     monkeypatch.setenv("RANKARG_SEED", "abc")
     assert main(["check", ex1_path, "Abs", "cat"]) == 2

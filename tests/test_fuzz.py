@@ -12,6 +12,7 @@ from rankarg.axioms import PropertyId, VerdictStatus, check
 from rankarg.catalog import bundled, example1, figure2
 from rankarg.framework import ArgFramework, has_cycle
 from rankarg.fuzz import (
+    ENUMERATION_CAP,
     EXPECTED_SATISFACTION,
     FuzzBudget,
     GenSpec,
@@ -140,6 +141,35 @@ def test_default_corpora_carry_curated_seeds():
     assert all(not has_cycle(f) for f in corpora["tuples"])
     assert all(len(f.arguments) <= budget.mt_game_cap for f in corpora["mt"])
     assert any(len(f.arguments) == 9 for f in corpora["mt"])  # the game seed
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("random_trials", -5, ValueError),
+    ("mt_random_trials", -1, ValueError),
+    ("random_trials", True, TypeError),
+    ("random_trials", 2.0, TypeError),
+    ("densities", (), ValueError),
+    ("densities", (0.3, 1.5), ValueError),
+    ("densities", (float("nan"),), ValueError),
+    ("densities", (False,), ValueError),
+    ("densities", [0.3], TypeError),
+    ("size_range", (7, 2), ValueError),
+    ("size_range", (0, 3), ValueError),
+    ("size_range", (2, 3, 4), ValueError),
+    ("mt_size_range", (2, 5.0), ValueError),
+    ("exhaustive_n", ENUMERATION_CAP + 1, ValueError),
+    ("mt_game_cap", -1, ValueError),
+    ("mt_game_cap", False, TypeError),
+    ("seed", None, TypeError),
+])
+def test_budget_rejects_bad_fields(field, value, error):
+    with pytest.raises(error, match=f"{field} must be"):
+        FuzzBudget(**{field: value})
+
+
+def test_budget_accepts_edge_values():
+    FuzzBudget(seed=-3, random_trials=0, densities=(0, 1.0), size_range=(1, 1),
+               exhaustive_n=0, mt_random_trials=0, mt_size_range=(4, 4), mt_game_cap=0)
 
 
 def test_records_and_rendering():

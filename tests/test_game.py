@@ -1,5 +1,6 @@
 """Matrix-game tests: the simplex answer is compared against a support
-enumeration oracle on small games and against its own dual on larger ones."""
+enumeration oracle on small games and against its own dual on larger ones,
+and games with a pure saddle point are checked to be answered without it."""
 
 import itertools
 import random
@@ -7,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from rankarg.game import game_value
+from rankarg.game import game_value, pure_saddle
 
 
 def support_enumeration_value(matrix):
@@ -139,3 +140,60 @@ def test_example1_reward_matrix_for_e(ex1):
     sol = game_value(mt_reward_matrix(ex1, "e"))
     assert sol.value == pytest.approx(0.5, abs=1e-7)
     assert sol.duality_gap < 1e-7
+
+
+def planted_saddle(rng, m, n):
+    """A random m x n game whose entry (i, j) is a saddle point: row i is
+    raised to at least its value and column j lowered to at most it."""
+    M = np.array([[rng.random() for _ in range(n)] for _ in range(m)])
+    i, j = rng.randrange(m), rng.randrange(n)
+    v = M[i, j]
+    M[i] = np.maximum(M[i], v)
+    M[:, j] = np.minimum(M[:, j], v)
+    return M, v
+
+
+def test_planted_saddle_is_answered_without_pivots():
+    rng = random.Random(13)
+    for _ in range(200):
+        M, v = planted_saddle(rng, rng.randint(1, 4), rng.randint(1, 4))
+        sol = game_value(M)
+        assert sol.value == v
+        assert sol.pivots == 0
+        assert sol.duality_gap == 0.0
+        assert abs(sol.value - support_enumeration_value(M)) < 1e-9
+        p, q = np.array(sol.row_strategy), np.array(sol.column_strategy)
+        assert sorted(p) == [0.0] * (len(p) - 1) + [1.0]
+        assert sorted(q) == [0.0] * (len(q) - 1) + [1.0]
+
+
+def test_saddle_ties_pick_the_first_maximin_row_and_minimax_column():
+    # rows 1 and 2 both guarantee 1; columns 0 and 1 both concede at most 1
+    M = [[0.0, 0.0, 0.0], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0]]
+    assert pure_saddle(np.array(M)) == (1, 0)
+    sol = game_value(M)
+    assert sol.value == 1.0
+    assert sol.row_strategy == (0.0, 1.0, 0.0)
+    assert sol.column_strategy == (1.0, 0.0, 0.0)
+
+
+def test_games_without_a_saddle_still_pivot():
+    pennies = game_value([[1.0, 0.0], [0.0, 1.0]])
+    assert pennies.pivots > 0
+    assert pennies.value == pytest.approx(0.5, abs=1e-12)
+    # maximin 0.5 and minimax 0.5 + 1e-10: a saddle only up to a tolerance
+    near = 0.5 + 1e-10
+    almost = game_value([[0.5, near], [near, 0.5]])
+    assert almost.pivots > 0
+    assert almost.duality_gap < 1e-9
+    rng = random.Random(17)
+    mixed = 0
+    while mixed < 50:
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        M = np.array([[rng.random() for _ in range(n)] for _ in range(m)])
+        if pure_saddle(M) is not None:
+            continue
+        mixed += 1
+        sol = game_value(M)
+        assert sol.pivots > 0
+        assert abs(sol.value - support_enumeration_value(M)) < 1e-6

@@ -70,14 +70,24 @@ def test_self_attacker_plays_the_zero_game():
 
 
 def test_one_lp_per_argument(monkeypatch, ex1):
-    shapes = []
+    calls = []
     solve = semantics.game_value
-    monkeypatch.setattr(semantics, "game_value",
-                        lambda game: shapes.append(game.shape) or solve(game))
+
+    def record(game):
+        calls.append((game.shape, solve(game)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(semantics, "game_value", record)
     mt_scores(ex1)
-    assert len(shapes) == len(ex1.arguments)
-    # no reduced game keeps the 2^(n-1) x 2^n shape of the dense one
-    assert all(rows < 16 and cols < 32 for rows, cols in shapes)
+    assert len(calls) == len(ex1.arguments)
+    # a game that reaches the simplex is reduced: no LP keeps the 2^(n-1) x 2^n
+    # shape of the dense game; the others are saddles answered without pivots
+    for (rows, cols), sol in calls:
+        if sol.pivots > 0:
+            assert rows < 16 and cols < 32
+        else:
+            assert sol.duality_gap == 0.0
+    assert any(sol.pivots > 0 for _, sol in calls)  # d has no saddle
 
 
 def test_fuzz_lanes_fit_the_budget():
