@@ -46,7 +46,6 @@ from .orders import (
     Ranking,
     group_geq,
     group_gt,
-    lex_compare,
     ranking_from_scores,
     ranking_from_vectors,
 )
@@ -56,7 +55,6 @@ from .semantics import (
     SemanticsRef,
     SizeCapExceededError,
     SolverConfig,
-    TupledValue,
     bbs_ranking,
     bbs_vectors,
     categoriser_scores,

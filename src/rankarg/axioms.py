@@ -25,7 +25,6 @@ from .framework import (
     disjoint_union,
     framework_key,
     graft_branch,
-    has_cycle,
     rename,
     walk_counts,
 )
@@ -54,27 +53,16 @@ class PropertyId(str, Enum):
     AVSFD = "AvsFD"
 
 
-#: Table-layout order for reports.
-PROPERTY_ORDER = (
-    PropertyId.ABS, PropertyId.IN, PropertyId.VP, PropertyId.DP, PropertyId.CT,
-    PropertyId.SCT, PropertyId.CP, PropertyId.QP, PropertyId.DDP, PropertyId.SC,
-    PropertyId.PLUS_DB_STRICT, PropertyId.PLUS_DB, PropertyId.INC_AB,
-    PropertyId.INC_DB, PropertyId.PLUS_AB, PropertyId.TOT, PropertyId.NAE,
-    PropertyId.AVSFD,
-)
+#: Table-layout order for reports: the enum's own order.
+PROPERTY_ORDER = tuple(PropertyId)
 
-_ALIASES = {
-    "abs": PropertyId.ABS, "in": PropertyId.IN, "vp": PropertyId.VP,
-    "dp": PropertyId.DP, "ct": PropertyId.CT, "sct": PropertyId.SCT,
-    "cp": PropertyId.CP, "qp": PropertyId.QP, "ddp": PropertyId.DDP,
-    "sc": PropertyId.SC, "tot": PropertyId.TOT, "nae": PropertyId.NAE,
-    "avsfd": PropertyId.AVSFD,
-    "+db!": PropertyId.PLUS_DB_STRICT, "plus-db-strict": PropertyId.PLUS_DB_STRICT,
-    "sdb": PropertyId.PLUS_DB_STRICT, "⊕db": PropertyId.PLUS_DB_STRICT,
-    "+db": PropertyId.PLUS_DB, "plus-db": PropertyId.PLUS_DB,
-    "^ab": PropertyId.INC_AB, "inc-ab": PropertyId.INC_AB, "↑ab": PropertyId.INC_AB,
-    "^db": PropertyId.INC_DB, "inc-db": PropertyId.INC_DB, "↑db": PropertyId.INC_DB,
-    "+ab": PropertyId.PLUS_AB, "plus-ab": PropertyId.PLUS_AB,
+#: Every property's value in lower case, plus the long spellings.
+_ALIASES = {p.value.lower(): p for p in PropertyId} | {
+    "plus-db-strict": PropertyId.PLUS_DB_STRICT, "sdb": PropertyId.PLUS_DB_STRICT,
+    "⊕db": PropertyId.PLUS_DB_STRICT, "plus-db": PropertyId.PLUS_DB,
+    "inc-ab": PropertyId.INC_AB, "↑ab": PropertyId.INC_AB,
+    "inc-db": PropertyId.INC_DB, "↑db": PropertyId.INC_DB,
+    "plus-ab": PropertyId.PLUS_AB,
 }
 
 
@@ -103,11 +91,8 @@ class Witness:
     """
 
     framework: ArgFramework
-    property: PropertyId
-    semantics: str
     pair: tuple[str, str]
     constructed: ArgFramework | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -115,9 +100,6 @@ class PropertyVerdict:
     status: VerdictStatus
     witness: Witness | None = None
     detail: str = ""
-
-    def __bool__(self) -> bool:  # truthy iff nothing was refuted
-        return self.status is not VerdictStatus.VIOLATED
 
 
 def _holds() -> PropertyVerdict:
@@ -128,12 +110,8 @@ def _na(reason: str) -> PropertyVerdict:
     return PropertyVerdict(VerdictStatus.NOT_APPLICABLE, detail=reason)
 
 
-def _violated(framework, prop, sem_id, pair, constructed=None, note="") -> PropertyVerdict:
-    return PropertyVerdict(
-        VerdictStatus.VIOLATED,
-        witness=Witness(framework, prop, sem_id, pair, constructed, note),
-        detail=note,
-    )
+def _violated(framework, pair, note, constructed=None) -> PropertyVerdict:
+    return PropertyVerdict(VerdictStatus.VIOLATED, Witness(framework, pair, constructed), note)
 
 
 def defense_is_simple(framework: ArgFramework, name: str) -> bool:
@@ -218,7 +196,7 @@ def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
 
     checker = _CHECKERS[prop]
     if isinstance(checker, PairRule):
-        return _check_pairs(prop, checker, framework, sem.sid, rank)
+        return _check_pairs(checker, framework, rank)
     return checker(framework, sem, rank, seed)
 
 
@@ -240,7 +218,7 @@ class PairRule:
     note: Callable[[ArgFramework, Ranking, str, str], str]
 
 
-def _check_pairs(prop, rule, framework, sid, rank):
+def _check_pairs(rule, framework, rank):
     """The first premise pair the ranking refuses is the witness.
 
     A structural premise is evaluated before the solve, so a premise that
@@ -263,8 +241,7 @@ def _check_pairs(prop, rule, framework, sid, rank):
             return stop
     for a, b in chain([first], pairs):
         if not rule.relation(ranking, a, b):
-            return _violated(framework, prop, sid, (a, b),
-                             note=rule.note(framework, ranking, a, b))
+            return _violated(framework, (a, b), rule.note(framework, ranking, a, b))
     return _holds()
 
 
@@ -325,9 +302,10 @@ def _ddp_premise(framework, _):
 
 
 def _avsfd_premise(framework, _):
-    if has_cycle(framework):
+    try:
+        profiles = branch_profiles(framework)
+    except CyclicFrameworkError:
         return "premise requires an acyclic framework"
-    profiles = branch_profiles(framework)
     table = walk_counts(framework, 2)
     no_attack_branch = [a for a in sorted(framework.arguments) if not profiles[a].attack_lengths]
     lone_target = [b for b in sorted(framework.arguments)
@@ -346,12 +324,12 @@ def _check_in(framework, sem, rank, _seed):
             return stop
         for a, b in _pairs(comp.arguments):
             if part.geq(a, b) and not whole.geq(a, b):
-                return _violated(framework, PropertyId.IN, sem.sid, (a, b),
-                                 note=f"{a} >= {b} inside its component but not in the whole")
+                return _violated(framework, (a, b),
+                                 f"{a} >= {b} inside its component but not in the whole")
     return _holds()
 
 
-def _check_abs(framework, sem, rank, seed):
+def _check_abs(framework, _sem, rank, seed):
     ranking, stop = rank(framework)
     if stop:
         return stop
@@ -366,8 +344,7 @@ def _check_abs(framework, sem, rank, seed):
             return stop
         for a, b in _pairs(names):
             if ranking.geq(a, b) != other.geq(gamma[a], gamma[b]):
-                return _violated(framework, PropertyId.ABS, sem.sid, (a, b),
-                                 note=f"order of ({a},{b}) changed under renaming")
+                return _violated(framework, (a, b), f"order of ({a},{b}) changed under renaming")
     return _holds()
 
 
@@ -386,8 +363,8 @@ def _branch_added(framework, a, kind, length, improved_is_clone, **_):
     return (star, gamma[a], a) if improved_is_clone else (star, a, gamma[a])
 
 
-def _check_branch_addition(framework, sem, rank, _seed, *, prop, only_attacked, kind,
-                           length, improved_is_clone):
+def _check_branch_addition(framework, _sem, rank, _seed, *, only_attacked, kind, length,
+                           improved_is_clone):
     todo = sorted(a for a in framework.arguments
                   if not only_attacked or framework.is_attacked(a))
     if not todo:
@@ -398,15 +375,14 @@ def _check_branch_addition(framework, sem, rank, _seed, *, prop, only_attacked, 
         if stop:
             return stop
         if not ranking.strict(better, worse):
-            return _violated(framework, prop, sem.sid, (better, worse), constructed=star,
-                             note=f"grafting a {kind} branch onto the copy of {a} "
-                                  f"does not leave {better} strictly above {worse}")
+            return _violated(framework, (better, worse),
+                             f"grafting a {kind} branch onto the copy of {a} "
+                             f"does not leave {better} strictly above {worse}", star)
     return _holds()
 
 
-def _check_branch_increase(framework, sem, rank, _seed, *, prop):
+def _check_branch_increase(framework, _sem, rank, _seed, *, lengthen_attack):
     roots = branch_roots(framework)
-    lengthen_attack = prop is PropertyId.INC_AB
     instances = []
     for a in sorted(framework.arguments):
         def_roots, att_roots = roots[a]
@@ -424,9 +400,9 @@ def _check_branch_increase(framework, sem, rank, _seed, *, prop):
             return stop
         better, worse = (gamma[a], a) if lengthen_attack else (a, gamma[a])
         if not ranking.strict(better, worse):
-            return _violated(framework, prop, sem.sid, (better, worse), constructed=star,
-                             note=f"lengthening the branch rooted at {b} does not leave "
-                                  f"{better} strictly above {worse}")
+            return _violated(framework, (better, worse),
+                             f"lengthening the branch rooted at {b} does not leave "
+                             f"{better} strictly above {worse}", star)
     return _holds()
 
 
@@ -468,16 +444,16 @@ _CHECKERS = {
         "needs both self-attacking and non-self-attacking arguments",
         lambda f, r, a, b: f"{a} not strictly above self-attacker {b}"),
     PropertyId.PLUS_DB_STRICT: partial(
-        _check_branch_addition, prop=PropertyId.PLUS_DB_STRICT, only_attacked=False,
-        kind="defense", length=DEFENSE_LENGTH, improved_is_clone=True),
+        _check_branch_addition, only_attacked=False, kind="defense", length=DEFENSE_LENGTH,
+        improved_is_clone=True),
     PropertyId.PLUS_DB: partial(
-        _check_branch_addition, prop=PropertyId.PLUS_DB, only_attacked=True,
-        kind="defense", length=DEFENSE_LENGTH, improved_is_clone=True),
-    PropertyId.INC_AB: partial(_check_branch_increase, prop=PropertyId.INC_AB),
-    PropertyId.INC_DB: partial(_check_branch_increase, prop=PropertyId.INC_DB),
+        _check_branch_addition, only_attacked=True, kind="defense", length=DEFENSE_LENGTH,
+        improved_is_clone=True),
+    PropertyId.INC_AB: partial(_check_branch_increase, lengthen_attack=True),
+    PropertyId.INC_DB: partial(_check_branch_increase, lengthen_attack=False),
     PropertyId.PLUS_AB: partial(
-        _check_branch_addition, prop=PropertyId.PLUS_AB, only_attacked=False,
-        kind="attack", length=ATTACK_LENGTH, improved_is_clone=False),
+        _check_branch_addition, only_attacked=False, kind="attack", length=ATTACK_LENGTH,
+        improved_is_clone=False),
     PropertyId.TOT: PairRule(
         lambda f, _: _pairs(f.arguments), False,
         lambda r, a, b: not r.incomparable(a, b),
@@ -519,7 +495,7 @@ def audit_dependencies(verdicts: dict[PropertyId, PropertyVerdict],
     """Violations of the dependency rules within one instance's verdict set."""
     problems = []
     for antecedents, consequent in rules:
-        if all(verdicts.get(p) and verdicts[p].status is VerdictStatus.HOLDS for p in antecedents):
+        if all(p in verdicts and verdicts[p].status is VerdictStatus.HOLDS for p in antecedents):
             cons = verdicts.get(consequent)
             if cons is not None and cons.status is VerdictStatus.VIOLATED:
                 names = " & ".join(p.value for p in antecedents)
@@ -579,7 +555,7 @@ def _search_cp_qp() -> tuple[ArgFramework, Demand, Demand]:
     from .fuzz import enumerate_all
 
     for n in (3, 4):
-        for candidate in enumerate_all(n, allow_self_attacks=True):
+        for candidate in enumerate_all(n):
             quality = _forced_pairs(PropertyId.QP, candidate)
             for a, b in sorted(_forced_pairs(PropertyId.CP, candidate)):
                 if (b, a) in quality:

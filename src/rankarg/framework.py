@@ -300,12 +300,11 @@ def disjoint_union(f: ArgFramework, g: ArgFramework) -> ArgFramework:
     return ArgFramework(f.arguments | g.arguments, f.attacks | g.attacks)
 
 
-def clone_fresh(f: ArgFramework, suffix: str = "_c") -> tuple[ArgFramework, dict[str, str]]:
-    """Isomorphic copy with suffixed names guaranteed fresh w.r.t. the original."""
-    if not NAME_PATTERN.match(suffix.lstrip("_") or "x"):
-        raise FrameworkError(f"bad suffix {suffix!r}")
+def clone_fresh(f: ArgFramework) -> tuple[ArgFramework, dict[str, str]]:
+    """Isomorphic copy whose names carry the suffix ``_c``, repeated until
+    every name is fresh w.r.t. the original."""
     for reps in count(1):
-        mapping = {a: a + suffix * reps for a in f.arguments}
+        mapping = {a: a + "_c" * reps for a in f.arguments}
         if not (set(mapping.values()) & f.arguments):
             break
     clone = ArgFramework(

@@ -24,6 +24,13 @@ from .semantics import SEMANTICS_IDS, SemanticsRef, SolverConfig, check_fields
 
 ENUMERATION_CAP = 4
 
+#: Edge densities of the random corpora; each gets an equal share of the trials.
+DENSITIES = (0.15, 0.3, 0.5)
+#: Argument counts of the random frameworks in the cheap and tuples corpora,
+#: and in the smaller mt corpus.
+SIZE_RANGE = (2, 7)
+MT_SIZE_RANGE = (2, 5)
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -66,12 +73,12 @@ def gen_random(spec: GenSpec) -> Iterator[ArgFramework]:
         yield ArgFramework.make(names, attacks)
 
 
-def enumerate_all(n: int, allow_self_attacks: bool) -> Iterator[ArgFramework]:
-    """All labelled digraphs on n arguments (2^(n^2) or 2^(n^2-n) of them)."""
+def enumerate_all(n: int) -> Iterator[ArgFramework]:
+    """All 2^(n^2) labelled digraphs on n arguments, self-attacks included."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"n must be in 1..{ENUMERATION_CAP}")
     names = [f"a{i}" for i in range(n)]
-    pairs = [(x, y) for x in names for y in names if x != y or allow_self_attacks]
+    pairs = [(x, y) for x in names for y in names]
     for mask in range(1 << len(pairs)):
         attacks = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         yield ArgFramework.make(names, attacks)
@@ -89,18 +96,12 @@ class CellReport:
     first_witness: Witness | None = None
     shrunk: ArgFramework | None = None
 
-    @property
-    def satisfied(self) -> bool:
-        return self.violations == 0
-
 
 @dataclass
 class MatrixReport:
     cells: dict[tuple[str, PropertyId], CellReport]
     semantics: tuple[str, ...]
     properties: tuple[PropertyId, ...]
-    seed: int
-    corpus_sizes: dict[str, int] = field(default_factory=dict)
     dependency_failures: list[str] = field(default_factory=list)
 
 
@@ -187,8 +188,6 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
         cells=cells,
         semantics=tuple(r.sid for r in refs),
         properties=tuple(props),
-        seed=seed,
-        corpus_sizes={"corpus": len(corpus)},
         dependency_failures=failures,
     )
 
@@ -224,29 +223,13 @@ for _prop, _row in _TABLE_ROWS.items():
         EXPECTED_SATISFACTION[(_sid, _prop)] = _flag
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_size_range(value) -> bool:
-    return len(value) == 2 and all(map(_is_int, value)) and 1 <= value[0] <= value[1]
-
-
-def _is_density(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
-
-
 #: Per FuzzBudget field, as in semantics._CONFIG_RULES: types, value test, rule.
 _BUDGET_RULES = (
     ("seed", int, lambda v: True, "an integer"),
     ("random_trials", int, lambda v: v >= 0, "an integer >= 0"),
-    ("densities", tuple, lambda v: len(v) > 0 and all(map(_is_density, v)),
-     "a nonempty tuple of numbers in [0, 1]"),
-    ("size_range", tuple, _is_size_range, "a pair of integers 1 <= low <= high"),
     ("exhaustive_n", int, lambda v: 0 <= v <= ENUMERATION_CAP,
      f"an integer in 0..{ENUMERATION_CAP}"),
     ("mt_random_trials", int, lambda v: v >= 0, "an integer >= 0"),
-    ("mt_size_range", tuple, _is_size_range, "a pair of integers 1 <= low <= high"),
     ("mt_game_cap", int, lambda v: v >= 0, "an integer >= 0"),
 )
 
@@ -261,11 +244,8 @@ class FuzzBudget:
 
     seed: int = 0
     random_trials: int = 2000
-    densities: tuple[float, ...] = (0.15, 0.3, 0.5)
-    size_range: tuple[int, int] = (2, 7)
     exhaustive_n: int = 3
     mt_random_trials: int = 150
-    mt_size_range: tuple[int, int] = (2, 5)
     mt_game_cap: int = 10
 
     def __post_init__(self):
@@ -275,8 +255,8 @@ class FuzzBudget:
 def _random_corpus(budget: FuzzBudget, trials: int, size_range, acyclic: bool,
                    seed_offset: int) -> list[ArgFramework]:
     out: list[ArgFramework] = []
-    per_density = trials // len(budget.densities)
-    for k, density in enumerate(budget.densities):
+    per_density = trials // len(DENSITIES)
+    for k, density in enumerate(DENSITIES):
         spec = GenSpec(size_range, density, allow_self_attacks=not acyclic,
                        acyclic_only=acyclic, seed=budget.seed + seed_offset + k)
         stream = gen_random(spec)
@@ -286,23 +266,21 @@ def _random_corpus(budget: FuzzBudget, trials: int, size_range, acyclic: bool,
 
 def default_corpora(budget: FuzzBudget = FuzzBudget()) -> dict[str, list[ArgFramework]]:
     """One corpus per lane: 'cheap' (cat/saf/dbs/bbs/grounded), 'tuples', 'mt'."""
-    exhaustive = [f for n in range(1, budget.exhaustive_n + 1)
-                  for f in enumerate_all(n, allow_self_attacks=True)]
+    exhaustive = [f for n in range(1, budget.exhaustive_n + 1) for f in enumerate_all(n)]
     seeds = list(catalog.bundled().values())
     cheap = exhaustive + seeds + _random_corpus(
-        budget, budget.random_trials, budget.size_range, acyclic=False, seed_offset=11)
+        budget, budget.random_trials, SIZE_RANGE, acyclic=False, seed_offset=11)
     acyclic_seeds = [f for f in seeds if not has_cycle(f)]
     tuples_corpus = (
         [f for f in exhaustive if not has_cycle(f)]
         + acyclic_seeds
-        + _random_corpus(budget, budget.random_trials, budget.size_range,
-                         acyclic=True, seed_offset=23)
+        + _random_corpus(budget, budget.random_trials, SIZE_RANGE, acyclic=True, seed_offset=23)
     )
-    small_exhaustive = [f for n in (1, 2) for f in enumerate_all(n, allow_self_attacks=True)]
+    small_exhaustive = [f for n in (1, 2) for f in enumerate_all(n)]
     mt_corpus = (
         small_exhaustive
         + [f for f in seeds if len(f.arguments) <= budget.mt_game_cap]
-        + _random_corpus(budget, budget.mt_random_trials, budget.mt_size_range,
+        + _random_corpus(budget, budget.mt_random_trials, MT_SIZE_RANGE,
                          acyclic=False, seed_offset=37)
     )
     return {"cheap": cheap, "tuples": tuples_corpus, "mt": mt_corpus}
@@ -325,15 +303,13 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
     wanted = list(semantics)
     cells: dict[tuple[str, PropertyId], CellReport] = {}
     failures: list[str] = []
-    sizes: dict[str, int] = {}
     for sid in wanted:
         corpus = corpora[sid if sid in ("tuples", "mt") else "cheap"]
-        sizes[sid] = len(corpus)
         part = build_matrix(corpus, [lane_ref(sid, budget)], props, seed=budget.seed,
                             dependency_rules=dependency_rules)
         cells.update(part.cells)
         failures.extend(part.dependency_failures)
-    return MatrixReport(cells, tuple(wanted), tuple(props), budget.seed, sizes, failures)
+    return MatrixReport(cells, tuple(wanted), tuple(props), failures)
 
 
 def render_matrix_text(report: MatrixReport,

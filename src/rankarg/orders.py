@@ -7,22 +7,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def lex_compare(v: Sequence[float], w: Sequence[float], tol: float = 0.0) -> int:
-    """First differing coordinate decides; returns -1, 0 or 1.
-
-    Entries within ``tol`` of each other count as equal, which is how float
-    step vectors are compared.  Vectors must have equal length.
-    """
-    if len(v) != len(w):
-        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
-    for a, b in zip(v, w):
-        if abs(a - b) > tol:
-            return GREATER if a > b else LESS
-    return EQUAL
-
 
 class Ranking:
     """A preorder over a fixed argument set, queried pairwise.
@@ -249,9 +233,9 @@ def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
     return Ranking.from_classes(classes)
 
 
-def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], lower_is_better: bool = True,
-                         tol: float = 0.0) -> Ranking:
-    """Total preorder by lexicographic comparison of equal-length vectors.
+def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], tol: float = 0.0) -> Ranking:
+    """Total preorder by lexicographic comparison of equal-length vectors,
+    the lower vector being the better.
 
     With ``tol == 0`` the vectors are compared as they are, which suits exact
     integers of any size.  With ``tol > 0`` (float vectors) each coordinate
@@ -275,7 +259,7 @@ def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], lower_is_better
         rows = list(map(tuple, ranks.tolist()))
     keys = dict(zip(names, rows))
     classes: list[list[str]] = []
-    for a in sorted(names, key=keys.__getitem__, reverse=not lower_is_better):
+    for a in sorted(names, key=keys.__getitem__):
         if classes and keys[classes[-1][0]] == keys[a]:
             classes[-1].append(a)
         else:

@@ -16,9 +16,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .framework import ArgFramework, branch_profiles, walk_counts
+from .framework import ArgFramework, BranchProfile, branch_profiles, walk_counts
 from .game import GameSolution, game_value, pure_saddle
-from .orders import Ranking, lex_compare, ranking_from_scores, ranking_from_vectors
+from .orders import Ranking, ranking_from_scores, ranking_from_vectors
 
 SEMANTICS_IDS = ("cat", "saf", "dbs", "bbs", "tuples", "mt", "grounded")
 
@@ -277,7 +277,7 @@ def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 
 
 def dbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_vectors(dbs_vectors(framework, cfg), lower_is_better=True, tol=0)
+    return ranking_from_vectors(dbs_vectors(framework, cfg), tol=0)
 
 
 def bbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, tuple[float, ...]]:
@@ -296,26 +296,15 @@ def bbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 
 
 def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_vectors(bbs_vectors(framework, cfg), lower_is_better=True, tol=1e-9)
+    return ranking_from_vectors(bbs_vectors(framework, cfg), tol=1e-9)
 
 
-@dataclass(frozen=True)
-class TupledValue:
-    """Ascending branch-length tuples: v_p even (defense), v_i odd (attack)."""
-
-    v_p: tuple[int, ...]
-    v_i: tuple[int, ...]
+def tuples_values(framework: ArgFramework) -> dict[str, BranchProfile]:
+    """The tuples semantics' value of every argument: its branch profile."""
+    return branch_profiles(framework)  # raises CyclicFrameworkError on cycles
 
 
-UNATTACKED_TUPLE = TupledValue((0,), ())
-
-
-def tuples_values(framework: ArgFramework) -> dict[str, TupledValue]:
-    profiles = branch_profiles(framework)  # raises CyclicFrameworkError on cycles
-    return {a: TupledValue(p.defense_lengths, p.attack_lengths) for a, p in profiles.items()}
-
-
-def compare_tuples(va: TupledValue, vb: TupledValue) -> str:
+def compare_tuples(va: BranchProfile, vb: BranchProfile) -> str:
     """Pairwise tuple comparison: 'eq', 'gt', 'lt' or 'none' (incomparable).
 
     Unattacked arguments (the unique holders of the zero-length defense
@@ -327,21 +316,23 @@ def compare_tuples(va: TupledValue, vb: TupledValue) -> str:
     """
     if va == vb:
         return "eq"
-    if va == UNATTACKED_TUPLE:
+    pa, ia = va.defense_lengths, va.attack_lengths
+    pb, ib = vb.defense_lengths, vb.attack_lengths
+    if pa == (0,):  # only an unattacked argument has a length-0 branch
         return "gt"
-    if vb == UNATTACKED_TUPLE:
+    if pb == (0,):
         return "lt"
-    if len(va.v_i) == len(vb.v_i) and len(va.v_p) == len(vb.v_p):
-        cmp_p = lex_compare(va.v_p, vb.v_p)
-        cmp_i = lex_compare(va.v_i, vb.v_i)
+    if len(ia) == len(ib) and len(pa) == len(pb):
+        cmp_p = (pa > pb) - (pa < pb)
+        cmp_i = (ia > ib) - (ia < ib)
         if cmp_p <= 0 and cmp_i >= 0:
             return "gt"
         if cmp_p >= 0 and cmp_i <= 0:
             return "lt"
         return "none"
-    if len(va.v_i) >= len(vb.v_i) and len(va.v_p) <= len(vb.v_p):
+    if len(ia) >= len(ib) and len(pa) <= len(pb):
         return "lt"
-    if len(va.v_i) <= len(vb.v_i) and len(va.v_p) >= len(vb.v_p):
+    if len(ia) <= len(ib) and len(pa) >= len(pb):
         return "gt"
     return "none"
 

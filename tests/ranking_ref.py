@@ -66,9 +66,9 @@ class PairRanking:
         return sorted(classes, key=key)
 
 
-def ref_ranking_from_vectors(vectors, lower_is_better=True, tol=0.0):
+def ref_ranking_from_vectors(vectors, tol=0.0):
     """Classes best first: per-coordinate clustering within ``tol``, then a
-    lexicographic comparison of the cluster ranks."""
+    lexicographic comparison of the cluster ranks, lower being better."""
     names = sorted(vectors)
     if not names:
         return PairRanking.from_classes([])
@@ -80,7 +80,7 @@ def ref_ranking_from_vectors(vectors, lower_is_better=True, tol=0.0):
                 rank += 1
             keys[a].append(rank)
             prev = value
-    order = sorted(names, key=lambda a: (keys[a] if lower_is_better else [-r for r in keys[a]], a))
+    order = sorted(names, key=lambda a: (keys[a], a))
     classes, prev_key = [], None
     for a in order:
         if prev_key == keys[a]:

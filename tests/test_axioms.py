@@ -227,7 +227,7 @@ def test_abs_holds_and_is_deterministic(ex1):
 def test_in_holds_across_components(ex1, chain3):
     from rankarg.framework import clone_fresh, disjoint_union
 
-    extra, _ = clone_fresh(chain3, "_z")
+    extra, _ = clone_fresh(chain3)
     merged = disjoint_union(ex1, extra)
     for sid in ("cat", "saf", "dbs", "bbs", "grounded"):
         assert check(PropertyId.IN, merged, SemanticsRef(sid)).status is VerdictStatus.HOLDS
@@ -248,7 +248,7 @@ def test_in_detects_a_dependent_fake_semantics(ex1, chain3):
     broken = Broken("cat")
     from rankarg.framework import clone_fresh, disjoint_union
 
-    extra, _ = clone_fresh(chain3, "_z")
+    extra, _ = clone_fresh(chain3)
     merged = disjoint_union(ex1, extra)  # 8 arguments; components of 5 and 3
     verdict = check(PropertyId.IN, merged, broken)
     assert verdict.status is VerdictStatus.VIOLATED

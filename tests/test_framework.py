@@ -324,7 +324,7 @@ def test_components_match_union_find(f):
 
 
 def test_isomorphism_renamed_copy(ex1):
-    copy, gamma = clone_fresh(ex1, "_r")
+    copy, gamma = clone_fresh(ex1)
     found = find_isomorphism(ex1, copy)
     assert found is not None
     assert all(((x, y) in ex1.attacks) == ((found[x], found[y]) in copy.attacks)
@@ -361,7 +361,7 @@ def test_clone_then_find(f):
 
 def test_clone_suffix_collision():
     f = ArgFramework.make(["a", "a_c"])
-    copy, gamma = clone_fresh(f, "_c")
+    copy, gamma = clone_fresh(f)
     assert not (copy.arguments & f.arguments)
     assert len(copy.arguments) == 2
 

@@ -63,12 +63,11 @@ def test_genspec_validation():
 
 
 def test_enumeration_counts():
-    assert len(list(enumerate_all(1, True))) == 2
-    assert len(list(enumerate_all(2, False))) == 4
-    assert len(list(enumerate_all(2, True))) == 16
-    assert len(list(enumerate_all(3, True))) == 512
+    assert len(list(enumerate_all(1))) == 2
+    assert len(list(enumerate_all(2))) == 16
+    assert len(list(enumerate_all(3))) == 512
     with pytest.raises(ValueError):
-        list(enumerate_all(5, False))
+        list(enumerate_all(5))
 
 
 def test_matrix_single_cell_no_violation():
@@ -91,10 +90,10 @@ def test_matrix_figure2_avsfd_with_shrunk_witness():
 def test_grounded_vp_over_exhaustive_small_spaces():
     # two arguments cannot defend anything, so no attacked argument reaches
     # the top tier and the premise never trips; three can (z -> x -> a)
-    two = build_matrix(list(enumerate_all(2, True)), [SemanticsRef("grounded")],
+    two = build_matrix(list(enumerate_all(2)), [SemanticsRef("grounded")],
                        [PropertyId.VP], shrink=False)
     assert two.cells[("grounded", PropertyId.VP)].violations == 0
-    three = build_matrix(list(enumerate_all(3, True)), [SemanticsRef("grounded")],
+    three = build_matrix(list(enumerate_all(3)), [SemanticsRef("grounded")],
                          [PropertyId.VP], shrink=False)
     assert three.cells[("grounded", PropertyId.VP)].violations >= 1
 
@@ -113,7 +112,7 @@ def test_shrinking_is_a_deletion_fixpoint():
 
 
 def test_matrix_run_is_reproducible():
-    corpus = list(enumerate_all(2, True))
+    corpus = list(enumerate_all(2))
     props = [PropertyId.VP, PropertyId.CP, PropertyId.PLUS_AB]
     one = build_matrix(corpus, [SemanticsRef("cat")], props, seed=5)
     two = build_matrix(corpus, [SemanticsRef("cat")], props, seed=5)
@@ -148,15 +147,6 @@ def test_default_corpora_carry_curated_seeds():
     ("mt_random_trials", -1, ValueError),
     ("random_trials", True, TypeError),
     ("random_trials", 2.0, TypeError),
-    ("densities", (), ValueError),
-    ("densities", (0.3, 1.5), ValueError),
-    ("densities", (float("nan"),), ValueError),
-    ("densities", (False,), ValueError),
-    ("densities", [0.3], TypeError),
-    ("size_range", (7, 2), ValueError),
-    ("size_range", (0, 3), ValueError),
-    ("size_range", (2, 3, 4), ValueError),
-    ("mt_size_range", (2, 5.0), ValueError),
     ("exhaustive_n", ENUMERATION_CAP + 1, ValueError),
     ("mt_game_cap", -1, ValueError),
     ("mt_game_cap", False, TypeError),
@@ -168,8 +158,7 @@ def test_budget_rejects_bad_fields(field, value, error):
 
 
 def test_budget_accepts_edge_values():
-    FuzzBudget(seed=-3, random_trials=0, densities=(0, 1.0), size_range=(1, 1),
-               exhaustive_n=0, mt_random_trials=0, mt_size_range=(4, 4), mt_game_cap=0)
+    FuzzBudget(seed=-3, random_trials=0, exhaustive_n=0, mt_random_trials=0, mt_game_cap=0)
 
 
 def test_records_and_rendering():
@@ -217,7 +206,7 @@ def test_matrix_verdicts_equal_standalone_checks(monkeypatch):
         return verdict
 
     monkeypatch.setattr(fuzz, "check", recording)
-    corpus = [f for n in (1, 2) for f in enumerate_all(n, True)] + list(bundled().values())
+    corpus = [f for n in (1, 2) for f in enumerate_all(n)] + list(bundled().values())
     # the game cap of 8 keeps mt quick and turns the larger grafts Inconclusive
     refs = [SemanticsRef(sid, SolverConfig(mt_cap=8)) for sid in SEMANTICS_IDS]
     build_matrix(corpus, refs, seed=3, shrink=False)

@@ -50,7 +50,7 @@ def assert_matches_dense(framework):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reduced_game_matches_dense_on_every_small_framework(n):
-    for framework in enumerate_all(n, allow_self_attacks=True):
+    for framework in enumerate_all(n):
         assert_matches_dense(framework)
 
 

@@ -1,4 +1,4 @@
-"""Preorder, lexicographic and group-comparison tests.
+"""Preorder and group-comparison tests.
 
 Group comparisons are checked against brute-force enumeration of injective
 mappings over a thousand random preorders before any axiom relies on them.
@@ -12,13 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankarg.orders import (
-    EQUAL,
-    GREATER,
-    LESS,
     Ranking,
     group_geq,
     group_gt,
-    lex_compare,
     ranking_from_scores,
     ranking_from_vectors,
 )
@@ -64,38 +60,6 @@ def random_preorder(rng, names):
     pairs = [(a, b) for a in names for b in names
              if one[a] <= one[b] and two[a] <= two[b]]
     return Ranking(names, pairs)
-
-
-# --- lex_compare ---------------------------------------------------------
-
-
-def test_lex_first_difference_decides():
-    assert lex_compare((2, -1), (1, 0)) == GREATER
-    assert lex_compare((1, 1), (1, 1)) == EQUAL
-    assert lex_compare((1, 2, 0), (1, 1, 9)) == GREATER
-    assert lex_compare((0, 5), (1, -9)) == LESS
-
-
-def test_lex_tolerance():
-    assert lex_compare((1.0, 2.0), (1.0 + 1e-12, 1.0), tol=1e-9) == GREATER
-    assert lex_compare((1.0,), (1.0 + 1e-12,), tol=1e-9) == EQUAL
-
-
-def test_lex_length_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare((1, 2), (1,))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
-                min_size=3, max_size=3))
-def test_lex_total_order_on_triples(vectors):
-    u, v, w = vectors
-    assert lex_compare(u, v) == -lex_compare(v, u)
-    if lex_compare(u, v) != GREATER and lex_compare(v, w) != GREATER:
-        assert lex_compare(u, w) != GREATER
-    if lex_compare(u, v) == EQUAL:
-        assert tuple(u) == tuple(v)
 
 
 # --- Ranking -------------------------------------------------------------
@@ -233,10 +197,8 @@ def test_ranking_from_scores_rejects_nan():
 
 def test_ranking_from_vectors_prefix_ties():
     vectors = {"a": (1, 5), "b": (1, 2), "c": (0, 9)}
-    r = ranking_from_vectors(vectors, lower_is_better=True)
+    r = ranking_from_vectors(vectors)
     assert r.strict("c", "b") and r.strict("b", "a")
-    higher = ranking_from_vectors(vectors, lower_is_better=False)
-    assert higher.strict("a", "b") and higher.strict("b", "c")
 
 
 def test_ranking_from_vectors_tolerance_cluster():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankarg.framework import ArgFramework, CyclicFrameworkError, walk_counts
+from rankarg.framework import ArgFramework, BranchProfile, CyclicFrameworkError, walk_counts
 from rankarg.catalog import bundled, chain
 from rankarg.orders import Ranking
 from rankarg.semantics import (
@@ -17,7 +17,6 @@ from rankarg.semantics import (
     SemanticsRef,
     SizeCapExceededError,
     SolverConfig,
-    TupledValue,
     bbs_ranking,
     bbs_vectors,
     categoriser_residual,
@@ -246,20 +245,20 @@ def test_bbs_splits_distributed_defense_where_dbs_ties():
 
 def test_tuples_figure2_values(fig2):
     values = tuples_values(fig2)
-    assert values["a"] == TupledValue((2, 2, 2, 2), ())
-    assert values["b"] == TupledValue((), (1,))
+    assert values["a"] == BranchProfile((2, 2, 2, 2), ())
+    assert values["b"] == BranchProfile((), (1,))
 
 
 def test_tuples_unattacked_value():
     values = tuples_values(ArgFramework.make("ab", [("a", "b")]))
-    assert values["a"] == TupledValue((0,), ())
+    assert values["a"] == BranchProfile((0,), ())
 
 
 def test_tuples_chain_values():
     values = tuples_values(chain(3))  # x2 -> x1 -> x0
-    assert values["x0"] == TupledValue((2,), ())
-    assert values["x1"] == TupledValue((), (1,))
-    assert values["x2"] == TupledValue((0,), ())
+    assert values["x0"] == BranchProfile((2,), ())
+    assert values["x1"] == BranchProfile((), (1,))
+    assert values["x2"] == BranchProfile((0,), ())
 
 
 def test_tuples_figure2_ranking(fig2):
@@ -274,10 +273,51 @@ def test_tuples_twins_equivalent():
 def test_tuples_incomparable_when_both_grow():
     f = bundled()["tuples_incomparable"]
     values = tuples_values(f)
-    assert len(values["a"].v_p) > len(values["b"].v_p)
-    assert len(values["a"].v_i) > len(values["b"].v_i)
+    assert len(values["a"].defense_lengths) > len(values["b"].defense_lengths)
+    assert len(values["a"].attack_lengths) > len(values["b"].attack_lengths)
     assert tuples_ranking(f).incomparable("a", "b")
     assert compare_tuples(values["a"], values["b"]) == "none"
+
+
+def test_compare_tuples_first_difference_decides():
+    # equal branch counts: the first differing length decides
+    assert compare_tuples(BranchProfile((2, 4), (1,)), BranchProfile((2, 6), (1,))) == "gt"
+    assert compare_tuples(BranchProfile((4, 4), (1,)), BranchProfile((2, 8), (1,))) == "lt"
+    assert compare_tuples(BranchProfile((2,), (3, 3)), BranchProfile((2,), (1, 9))) == "gt"
+    assert compare_tuples(BranchProfile((2,), (1, 3)), BranchProfile((2,), (1, 5))) == "lt"
+
+
+def test_compare_tuples_shorter_defense_and_longer_attack_win():
+    assert compare_tuples(BranchProfile((2,), ()), BranchProfile((4,), ())) == "gt"
+    assert compare_tuples(BranchProfile((), (3,)), BranchProfile((), (1,))) == "gt"
+    assert compare_tuples(BranchProfile((2,), (1,)), BranchProfile((4,), (3,))) == "none"
+
+
+def test_compare_tuples_equal_profiles():
+    assert compare_tuples(BranchProfile((2, 4), (3,)), BranchProfile((2, 4), (3,))) == "eq"
+    assert compare_tuples(BranchProfile((0,), ()), BranchProfile((0,), ())) == "eq"
+
+
+@st.composite
+def equal_count_profiles(draw):
+    """Three attacked-argument profiles sharing their branch counts."""
+    k_p = draw(st.integers(0, 3))
+    k_i = draw(st.integers(0 if k_p else 1, 3))
+    defense = st.lists(st.integers(1, 4).map(lambda h: 2 * h), min_size=k_p, max_size=k_p)
+    attack = st.lists(st.integers(0, 3).map(lambda h: 2 * h + 1), min_size=k_i, max_size=k_i)
+    return [BranchProfile(tuple(sorted(draw(defense))), tuple(sorted(draw(attack))))
+            for _ in range(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_count_profiles())
+def test_compare_tuples_orders_equal_count_triples(profiles):
+    u, v, w = profiles
+    mirror = {"gt": "lt", "lt": "gt", "eq": "eq", "none": "none"}
+    assert compare_tuples(u, v) == mirror[compare_tuples(v, u)]
+    assert (compare_tuples(u, v) == "eq") == (u == v)
+    if compare_tuples(u, v) in ("gt", "eq") and compare_tuples(v, w) in ("gt", "eq"):
+        assert compare_tuples(u, w) in ("gt", "eq")
 
 
 def test_tuples_rejects_cycles(ex1):
