@@ -72,16 +72,24 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {value}")
+    return value
+
+
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", default="rank-large")
+    parser.add_argument("--workload", default="rank-large",
+                        choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=positive_int, default=10)
     parser.add_argument("--out", default=str(ROOT / "BENCH_rank.json"))
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     runs, machine = [], {}

@@ -150,11 +150,12 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
     The properties of one (framework, semantics) pair share one ranking
     memo, so each ranking that pair needs is solved once.  The per-instance
     dependency audits run on every pair; with the default rule set any hit
-    means a checker bug.
+    means a checker bug.  A semantics or property listed twice runs once, in
+    the order of its first listing.
     """
     corpus = list(corpus)
-    refs = list(semantics)
-    props = list(properties)
+    refs = list(dict.fromkeys(semantics))
+    props = list(dict.fromkeys(properties))
     cells = {(ref.sid, prop): CellReport() for ref in refs for prop in props}
     failures: list[str] = []
     for framework in corpus:
@@ -297,10 +298,11 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
                        semantics: Iterable[str] = SEMANTICS_IDS,
                        properties: Iterable[PropertyId] = PROPERTY_ORDER,
                        dependency_rules=None) -> MatrixReport:
-    """The standard satisfaction-matrix run over the default corpora."""
+    """The standard satisfaction-matrix run over the default corpora; a
+    semantics or property listed twice runs once, as in build_matrix."""
     corpora = default_corpora(budget)
-    props = list(properties)
-    wanted = list(semantics)
+    props = list(dict.fromkeys(properties))
+    wanted = list(dict.fromkeys(semantics))
     cells: dict[tuple[str, PropertyId], CellReport] = {}
     failures: list[str] = []
     for sid in wanted:

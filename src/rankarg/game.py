@@ -3,7 +3,11 @@
 The row player maximises.  The first step is the pure saddle test: when the
 largest row minimum equals the smallest column maximum, that entry is the
 value (von Neumann's minimax theorem), and the pure pair of a maximin row and
-a minimax column certifies it, so no tableau is built.  Any other game is
+a minimax column certifies it, so no tableau is built.  ``pure_saddle`` is
+that test and ``saddle_solution`` its one-hot answer; a caller that already
+holds the row minima of a game (the mt semantics, which takes every game of
+a framework from the rows of one table) passes them in and calls
+``game_value`` only for the games without a saddle.  Any other game is
 reduced to the classic pair of linear programs: after shifting payoffs so
 every entry is >= 1, the column player's scaled problem  max 1'w  s.t.
 M w <= 1, w >= 0  starts feasible at w = 0 and is solved with a dense primal
@@ -33,20 +37,36 @@ class GameSolution:
     pivots: int
 
 
-def pure_saddle(payoff: np.ndarray) -> tuple[int, int] | None:
+def pure_saddle(payoff: np.ndarray, row_min: np.ndarray | None = None) -> tuple[int, int] | None:
     """(i, j) of a pure saddle point of ``payoff``, or None if it has none.
 
     i is the first row that attains the largest row minimum and j the first
     column that attains the smallest column maximum.  They form a saddle
     exactly when the two are equal as floats: row i then guarantees that
     value against every column and column j concedes at most it on every
-    row, so no tolerance can admit a pair that is not optimal.
+    row, so no tolerance can admit a pair that is not optimal.  ``row_min``,
+    when given, must be ``payoff.min(axis=1)``.
     """
-    row_min = payoff.min(axis=1)
+    if row_min is None:
+        row_min = payoff.min(axis=1)
     col_max = payoff.max(axis=0)
     i = int(np.argmax(row_min))
     j = int(np.argmin(col_max))
     return (i, j) if row_min[i] == col_max[j] else None
+
+
+def saddle_solution(payoff: np.ndarray, i: int, j: int) -> GameSolution:
+    """The solution of ``payoff`` at its pure saddle point (i, j): the entry
+    as value, one-hot strategies on row i and column j, gap 0.0 (each
+    strategy guarantees the entry exactly) and no pivot."""
+    m, n = payoff.shape
+    return GameSolution(
+        value=float(payoff[i, j]),
+        row_strategy=(0.0,) * i + (1.0,) + (0.0,) * (m - i - 1),
+        column_strategy=(0.0,) * j + (1.0,) + (0.0,) * (n - j - 1),
+        duality_gap=0.0,
+        pivots=0,
+    )
 
 
 def _solution(payoff: np.ndarray, value: float, p: np.ndarray, q: np.ndarray,
@@ -55,8 +75,8 @@ def _solution(payoff: np.ndarray, value: float, p: np.ndarray, q: np.ndarray,
     guaranteed_high = float((payoff @ q).max())
     return GameSolution(
         value=value,
-        row_strategy=tuple(float(x) for x in p),
-        column_strategy=tuple(float(x) for x in q),
+        row_strategy=tuple(p.tolist()),
+        column_strategy=tuple(q.tolist()),
         duality_gap=guaranteed_high - guaranteed_low,
         pivots=pivots,
     )
@@ -77,13 +97,10 @@ def game_value(matrix) -> GameSolution:
         raise ValueError("need a nonempty 2-d payoff matrix")
     if not np.all(np.isfinite(payoff)):
         raise ValueError("payoff entries must be finite")
-    m, n = payoff.shape
     saddle = pure_saddle(payoff)
     if saddle is not None:
-        i, j = saddle
-        p, q = np.zeros(m), np.zeros(n)
-        p[i] = q[j] = 1.0
-        return _solution(payoff, float(payoff[i, j]), p, q, pivots=0)
+        return saddle_solution(payoff, *saddle)
+    m, n = payoff.shape
     shift = 1.0 - float(payoff.min())
     shifted = payoff + shift  # every entry >= 1
 

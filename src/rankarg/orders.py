@@ -27,40 +27,67 @@ class Ranking:
     once for a total preorder and O(n^2) only for a partial one.
 
     :meth:`from_classes` builds a total preorder from its classes listed
-    best first in O(n * classes) set work, without a pair list.  The pair
-    constructor takes any preorder as its >= pairs (it is reflexive by
-    construction), audits transitivity and raises ``ValueError`` on a
-    violation; it costs O(pairs).
+    best first in O(n * classes) set work, without a pair list.
+    :meth:`from_groups` takes any preorder as groups of arguments known to
+    be equivalent and the >= pairs between groups; the pair constructor is
+    its special case of one group per argument.  Both audit transitivity and
+    raise ``ValueError`` on a violation; their set work grows with the pairs
+    between groups, not between arguments.
     """
 
     __slots__ = ("arguments", "_geq", "_level", "_classes", "_total")
 
     def __init__(self, arguments: Iterable[str], geq_pairs: Iterable[tuple[str, str]]):
         names = sorted(set(arguments))
-        down: dict[str, set[str]] = {a: {a} for a in names}
+        index = {a: i for i, a in enumerate(names)}
+        pairs = []
         for a, b in geq_pairs:
-            if a not in down or b not in down:
+            if a not in index or b not in index:
                 raise ValueError(f"pair ({a},{b}) outside the argument set")
-            down[a].add(b)
-        for a in names:
-            for b in down[a]:
-                if not down[b] <= down[a]:
-                    missing = sorted(down[b] - down[a])
-                    raise ValueError(f"not transitive: {a} >= {b} >= {missing[0]} but not {a} >= {missing[0]}")
-        # a and b are equivalent exactly when their at-least-as-good sets are
+            pairs.append((index[a], index[b]))
+        self._build([[a] for a in names], pairs)
+
+    @classmethod
+    def from_groups(cls, groups: Sequence[Sequence[str]],
+                    geq_pairs: Iterable[tuple[int, int]]) -> "Ranking":
+        """Preorder in which the members of each group are equivalent and
+        (g, h) in ``geq_pairs`` puts every member of groups[g] at least as
+        good as every member of groups[h].  Groups must be disjoint and
+        nonempty, each listed in name order.  Groups whose at-least-as-good
+        sets come out equal merge into one class."""
+        ranking = cls.__new__(cls)
+        ranking._build(groups, geq_pairs)
+        return ranking
+
+    def _build(self, groups: Sequence[Sequence[str]], geq_pairs: Iterable[tuple[int, int]]) -> None:
+        down = [{g} for g in range(len(groups))]
+        for g, h in geq_pairs:
+            down[g].add(h)
+        for g, below in enumerate(down):
+            for h in below:
+                if not down[h] <= below:
+                    a, b = groups[g][0], groups[h][0]
+                    c = min(groups[k][0] for k in down[h] - below)
+                    raise ValueError(f"not transitive: {a} >= {b} >= {c} but not {a} >= {c}")
+        # Groups are equivalent exactly when their at-least-as-good sets are
         # equal; each class keeps its members in name order.
-        members: dict[frozenset[str], list[str]] = {}
-        for a in names:
-            members.setdefault(frozenset(down[a]), []).append(a)
-        class_of = {a: geq for geq, group in members.items() for a in group}
+        keys = [frozenset(below) for below in down]
+        members: dict[frozenset[int], list[str]] = {}
+        for key, group in zip(keys, groups):
+            members.setdefault(key, []).extend(group)
+        for group in members.values():
+            group.sort()
         above = dict.fromkeys(members, 0)
-        for geq in members:
-            for lower in {class_of[b] for b in geq}:
-                if lower is not geq:
+        for key in members:
+            for lower in {keys[h] for h in key}:
+                if lower != key:
                     above[lower] += 1
-        order = sorted(members, key=lambda geq: (above[geq], members[geq][0]))
-        total = all(above[geq] == i for i, geq in enumerate(order))
-        self._store([frozenset(members[geq]) for geq in order], class_of, total)
+        order = sorted(members, key=lambda key: (above[key], members[key][0]))
+        total = all(above[key] == i for i, key in enumerate(order))
+        geq: dict[str, frozenset[str]] = {}
+        for key, group in members.items():
+            geq.update(dict.fromkeys(group, frozenset(a for h in key for a in groups[h])))
+        self._store([frozenset(members[key]) for key in order], geq, total)
 
     @classmethod
     def from_classes(cls, classes: Sequence[Iterable[str]]) -> "Ranking":

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .framework import ArgFramework, BranchProfile, branch_profiles, walk_counts
-from .game import GameSolution, game_value, pure_saddle
+from .game import GameSolution, game_value, pure_saddle, saddle_solution
 from .orders import Ranking, ranking_from_scores, ranking_from_vectors
 
 SEMANTICS_IDS = ("cat", "saf", "dbs", "bbs", "tuples", "mt", "grounded")
@@ -338,21 +338,24 @@ def compare_tuples(va: BranchProfile, vb: BranchProfile) -> str:
 
 
 def tuples_ranking(framework: ArgFramework) -> Ranking:
-    """Partial preorder from pairwise tuple comparison; transitivity audited."""
+    """Partial preorder from pairwise tuple comparison; transitivity audited.
+
+    Arguments with equal branch profiles are tied, and only those compare
+    'eq', so one representative per profile is compared with each other."""
     values = tuples_values(framework)
-    names = sorted(framework.arguments)
+    groups: dict[BranchProfile, list[str]] = {}
+    for a in sorted(framework.arguments):
+        groups.setdefault(values[a], []).append(a)
+    profiles = list(groups)
     pairs = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            rel = compare_tuples(values[a], values[b])
-            if rel == "eq":
-                pairs.append((a, b))
-                pairs.append((b, a))
-            elif rel == "gt":
-                pairs.append((a, b))
+    for g, va in enumerate(profiles):
+        for h in range(g + 1, len(profiles)):
+            rel = compare_tuples(va, profiles[h])
+            if rel == "gt":
+                pairs.append((g, h))
             elif rel == "lt":
-                pairs.append((b, a))
-    return Ranking(names, pairs)
+                pairs.append((h, g))
+    return Ranking.from_groups(list(groups.values()), pairs)
 
 
 def _check_mt_budget(what: str, nbytes: int) -> None:
@@ -428,17 +431,24 @@ def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix[np.sort(first)]
 
 
+#: The game of an argument in no conflict-free set: every row scores 0.
+_ZERO_GAME = np.zeros((1, 1))
+
+
 def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG
                        ) -> tuple[dict[str, float], dict[str, GameSolution]]:
     """Game value of every argument and the game solution it comes from.
 
     The game of argument a has the proponent sets containing a as rows and
     all opponent sets as columns.  Its rows are the conflict-free rows of one
-    table per framework (_mt_game_table).  A game with a pure saddle point
-    goes to game_value as it is, which answers it without a tableau; any
-    other is first reduced by dropping exact duplicate rows and columns,
-    which leaves the value as it is.  An argument in no conflict-free set (a
-    self-attacker) plays the all-zero game, reduced to the 1 x 1 game [0].
+    table per framework (_mt_game_table), whose row minima are taken once.
+    Each argument's game is first put to the pure saddle test on those
+    minima and its own column maxima, and a saddle is answered by its
+    one-hot solution (game.saddle_solution) without a call to game_value.
+    Only a game without a saddle is reduced, by dropping exact duplicate
+    rows and columns, which leaves the value as it is, and then solved by
+    game_value.  An argument in no conflict-free set (a self-attacker) plays
+    the all-zero game, reduced to the 1 x 1 game [0], whose saddle is that 0.
 
     Refuses with SizeCapExceededError beyond ``cfg.mt_cap`` arguments or
     beyond the memory budget _MT_BUDGET_BYTES.
@@ -448,16 +458,20 @@ def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONF
             f"{len(framework.arguments)} arguments exceed the game cap {cfg.mt_cap}"
         )
     rows, table = _mt_game_table(framework)
+    row_min = table.min(axis=1)
     scores, solutions = {}, {}
     for i, a in enumerate(sorted(framework.arguments)):
-        game = table[(rows >> i) & 1 == 1]
+        member = (rows >> i) & 1 == 1
+        game = table[member]
         if not len(game):
-            game = np.zeros((1, 1))
-        elif pure_saddle(game) is None:  # a saddle is answered without a tableau
+            sol = saddle_solution(_ZERO_GAME, 0, 0)
+        elif (saddle := pure_saddle(game, row_min[member])) is not None:
+            sol = saddle_solution(game, *saddle)
+        else:
             game = _distinct_rows(_distinct_rows(game).T).T
             m, k = game.shape
             _check_mt_budget(f"game of {a} ({m} x {k})", 8 * _MT_LIVE_ARRAYS * (m + 1) * (k + m + 1))
-        sol = game_value(game)
+            sol = game_value(game)
         scores[a] = sol.value
         solutions[a] = sol
     return scores, solutions

@@ -182,6 +182,19 @@ def test_fuzz_writes_reports_and_witness_replays(tmp_path, capsys):
     assert "confirmed" in capsys.readouterr().out
 
 
+def test_fuzz_repeated_entries_run_once(tmp_path):
+    def outputs(semantics, properties):
+        out_dir = tmp_path / f"{semantics}-{properties}"
+        assert main(["fuzz", "--out", str(out_dir), "--trials", "3", "--mt-trials", "0",
+                     "--semantics", semantics, "--properties", properties]) == 0
+        return [(out_dir / name).read_text() for name in ("records.jsonl", "matrix.txt")]
+
+    once = outputs("grounded", "VP")
+    assert len(once[0].splitlines()) == 1
+    assert outputs("grounded", "VP,vp") == once
+    assert outputs("grounded,grounded", "VP") == once
+
+
 def test_fuzz_witness_records_the_lane_config(tmp_path, capsys):
     out_dir = tmp_path / "report"
     assert main(["fuzz", "--out", str(out_dir), "--trials", "3", "--mt-trials", "3",

@@ -1,9 +1,11 @@
 """The reduced mt game against the dense reward matrix of tests/mt_dense.py,
-and the memory budget that bounds the reduced game."""
+the one-pass answer against game_value on each argument's slice of the
+table, and the memory budget that bounds the reduced game."""
 
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from mt_dense import mt_reward_matrix
 
@@ -12,7 +14,7 @@ from rankarg.axioms import PropertyId, VerdictStatus, check
 from rankarg.cli import main
 from rankarg.framework import ArgFramework, serialize_apx
 from rankarg.fuzz import FuzzBudget, enumerate_all
-from rankarg.game import game_value
+from rankarg.game import game_value, pure_saddle
 from rankarg.orders import ranking_from_scores
 from rankarg.semantics import (
     SCORE_TIE_TOL,
@@ -69,6 +71,49 @@ def test_self_attacker_plays_the_zero_game():
     assert 0.0 < scores["b"] < 1.0
 
 
+def slice_solutions(framework):
+    """Each argument's solution from game_value on its own slice of the
+    table: the rows that contain it, reduced as mt_scores_detailed reduces
+    a game without a saddle, or the game [0] for a self-attacker."""
+    rows, table = semantics._mt_game_table(framework)
+    solutions = {}
+    for i, a in enumerate(sorted(framework.arguments)):
+        game = table[(rows >> i) & 1 == 1]
+        if not len(game):
+            game = np.zeros((1, 1))
+        elif pure_saddle(game) is None:
+            game = semantics._distinct_rows(semantics._distinct_rows(game).T).T
+        solutions[a] = game_value(game)
+    return solutions
+
+
+def assert_matches_slices(framework):
+    _, solutions = mt_scores_detailed(framework, SolverConfig(mt_cap=10))
+    expected = slice_solutions(framework)
+    assert solutions.keys() == expected.keys()
+    for a, sol in solutions.items():
+        for field in ("value", "row_strategy", "column_strategy", "duality_gap", "pivots"):
+            assert getattr(sol, field) == getattr(expected[a], field), (serialize_apx(framework), a, field)
+    return solutions
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_matches_game_value_on_every_small_framework(n):
+    for framework in enumerate_all(n):
+        assert_matches_slices(framework)
+
+
+def test_one_pass_matches_game_value_on_random_frameworks():
+    rng = random.Random(104729)
+    self_attackers = lp_games = 0
+    for _ in range(150):
+        framework = random_framework(rng, rng.randint(1, 10), rng.random() * 0.5)
+        solutions = assert_matches_slices(framework)
+        self_attackers += sum((a, a) in framework.attacks for a in framework.arguments)
+        lp_games += sum(sol.pivots > 0 for sol in solutions.values())
+    assert self_attackers > 0 and lp_games > 0
+
+
 def test_one_lp_per_argument(monkeypatch, ex1):
     calls = []
     solve = semantics.game_value
@@ -78,16 +123,14 @@ def test_one_lp_per_argument(monkeypatch, ex1):
         return calls[-1][1]
 
     monkeypatch.setattr(semantics, "game_value", record)
-    mt_scores(ex1)
-    assert len(calls) == len(ex1.arguments)
-    # a game that reaches the simplex is reduced: no LP keeps the 2^(n-1) x 2^n
-    # shape of the dense game; the others are saddles answered without pivots
+    _, solutions = mt_scores_detailed(ex1)
+    # only d has no saddle, so only d reaches game_value, and its LP runs on
+    # the reduced game, never on the 2^(n-1) x 2^n shape of the dense game
+    assert [sol for _, sol in calls] == [solutions["d"]]
     for (rows, cols), sol in calls:
-        if sol.pivots > 0:
-            assert rows < 16 and cols < 32
-        else:
-            assert sol.duality_gap == 0.0
-    assert any(sol.pivots > 0 for _, sol in calls)  # d has no saddle
+        assert sol.pivots > 0 and rows < 16 and cols < 32
+    for a in "abce":
+        assert solutions[a].pivots == 0 and solutions[a].duality_gap == 0.0
 
 
 def test_fuzz_lanes_fit_the_budget():
