@@ -4,10 +4,9 @@ The row player maximises.  The first step is the pure saddle test: when the
 largest row minimum equals the smallest column maximum, that entry is the
 value (von Neumann's minimax theorem), and the pure pair of a maximin row and
 a minimax column certifies it, so no tableau is built.  ``pure_saddle`` is
-that test and ``saddle_solution`` its one-hot answer; a caller that already
-holds the row minima of a game (the mt semantics, which takes every game of
-a framework from the rows of one table) passes them in and calls
-``game_value`` only for the games without a saddle.  Any other game is
+that test and ``saddle_solution`` its answer; the mt semantics calls them
+itself, on row minima it shares across the games of one framework, and
+calls ``game_value`` only for the games without a saddle.  Any other game is
 reduced to the classic pair of linear programs: after shifting payoffs so
 every entry is >= 1, the column player's scaled problem  max 1'w  s.t.
 M w <= 1, w >= 0  starts feasible at w = 0 and is solved with a dense primal

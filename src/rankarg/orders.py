@@ -53,8 +53,8 @@ class Ranking:
         """Preorder in which the members of each group are equivalent and
         (g, h) in ``geq_pairs`` puts every member of groups[g] at least as
         good as every member of groups[h].  Groups must be disjoint and
-        nonempty, each listed in name order.  Groups whose at-least-as-good
-        sets come out equal merge into one class."""
+        nonempty.  Groups whose at-least-as-good sets come out equal merge
+        into one class."""
         ranking = cls.__new__(cls)
         ranking._build(groups, geq_pairs)
         return ranking
