@@ -10,8 +10,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Iterable
+from itertools import count, islice
+from typing import Iterable, Iterator
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -188,23 +188,28 @@ class WalkCountTable:
         return self.counts[name][length - 1]
 
 
-def walk_counts(framework: ArgFramework, max_len: int) -> WalkCountTable:
-    """Walk counts by the in-walk recurrence: one pass over the attacks, as
-    index pairs, per length, in Python integers."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+def walk_count_levels(framework: ArgFramework) -> Iterator[list[int]]:
+    """In-walk counts of lengths 1, 2, ... over sorted(arguments), one list
+    per length and without end: each length takes one pass over the
+    attacks, as index pairs, in Python integers."""
     names = sorted(framework.arguments)
     index = {a: i for i, a in enumerate(names)}
     edges = [(index[b], index[a]) for a, b in framework.attacks]
-    steps = []
     prev = [1] * len(names)
-    for _ in range(max_len):
+    while True:
         cur = [0] * len(names)
         for dst, src in edges:
             cur[dst] += prev[src]
-        steps.append(cur)
+        yield cur
         prev = cur
-    return WalkCountTable(max_len, dict(zip(names, zip(*steps))))
+
+
+def walk_counts(framework: ArgFramework, max_len: int) -> WalkCountTable:
+    """Walk counts of lengths 1..max_len (walk_count_levels, tabulated)."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    steps = islice(walk_count_levels(framework), max_len)
+    return WalkCountTable(max_len, dict(zip(sorted(framework.arguments), zip(*steps))))
 
 
 def has_cycle(framework: ArgFramework) -> bool:

@@ -260,6 +260,20 @@ def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
     return Ranking.from_classes(classes)
 
 
+def cluster_ranks(values: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of every entry within its column (axis 0), lowest first: the
+    sorted values of a column split into clusters wherever two consecutive
+    ones differ by more than ``tol``, and an entry's rank is the number of
+    splits below it."""
+    columns = values[:, None] if values.ndim == 1 else values
+    order = np.argsort(columns, axis=0, kind="stable")
+    column = np.arange(columns.shape[1])
+    ordered = columns[order, column]
+    ranks = np.zeros(columns.shape, dtype=np.int64)
+    ranks[order[1:], column] = np.cumsum(ordered[1:] - ordered[:-1] > tol, axis=0)
+    return ranks.reshape(values.shape)
+
+
 def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], tol: float = 0.0) -> Ranking:
     """Total preorder by lexicographic comparison of equal-length vectors,
     the lower vector being the better.
@@ -279,11 +293,7 @@ def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], tol: float = 0.
         rows = [tuple(vectors[a]) for a in names]
     else:
         values = np.array([vectors[a] for a in names], dtype=np.float64).reshape(len(names), length)
-        order = np.argsort(values, axis=0, kind="stable")
-        steps = np.diff(np.take_along_axis(values, order, axis=0), axis=0) > tol
-        ranks = np.zeros(values.shape, dtype=np.int64)
-        np.put_along_axis(ranks, order[1:], np.cumsum(steps, axis=0), axis=0)
-        rows = list(map(tuple, ranks.tolist()))
+        rows = list(map(tuple, cluster_ranks(values, tol).tolist()))
     keys = dict(zip(names, rows))
     classes: list[list[str]] = []
     for a in sorted(names, key=keys.__getitem__):

@@ -12,13 +12,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from operator import neg
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .framework import ArgFramework, BranchProfile, branch_profiles, walk_counts
+from .framework import ArgFramework, BranchProfile, branch_profiles, walk_count_levels, walk_counts
 from .game import GameSolution, game_value, pure_saddle, saddle_solution
-from .orders import Ranking, ranking_from_scores, ranking_from_vectors
+from .orders import Ranking, cluster_ranks, ranking_from_scores
 
 SEMANTICS_IDS = ("cat", "saf", "dbs", "bbs", "tuples", "mt", "grounded")
 
@@ -276,27 +277,99 @@ def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     return out
 
 
+def _signed_walk_levels(framework: ArgFramework) -> Iterator[list[int]]:
+    """The levels of dbs_vectors, one list over sorted(arguments) each."""
+    for i, counts in enumerate(walk_count_levels(framework)):
+        yield [-c for c in counts] if i % 2 else counts
+
+
 def dbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_vectors(dbs_vectors(framework, cfg), tol=0)
+    """ranking_from_vectors(dbs_vectors(framework, cfg), tol=0), read one
+    level at a time (see _lex_ranking) and at most max(|A| - 1, 1) levels:
+    by Cayley-Hamilton the walk counts of length |A| and beyond are linear
+    combinations of the shorter ones, so they split no class."""
+    depth = min(cfg.depth_for(framework), max(len(framework.arguments) - 1, 1))
+    return _lex_ranking(framework, _signed_walk_levels(framework), depth)
+
+
+def _burden_levels(framework: ArgFramework) -> Iterator[np.ndarray]:
+    """Burden steps 1, 2, ... over sorted(arguments), without end: step i
+    adds to 1 one reciprocal of each attacker's step i - 1 (step 0 is 1
+    everywhere), summed in attacker name order."""
+    names, src, dst = _edge_arrays(framework)
+    level = np.ones(len(names))
+    while True:
+        level = 1.0 + np.bincount(dst, weights=1.0 / level[src], minlength=len(names))
+        yield level
 
 
 def bbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, tuple[float, ...]]:
-    """Burden vectors from step 0 to the truncation depth.
-
-    Step 0 is 1 everywhere; step i adds one reciprocal of each attacker's
-    previous burden, summed in attacker name order.  Lower vectors are
-    better.
-    """
-    depth = cfg.depth_for(framework)
-    names, src, dst = _edge_arrays(framework)
-    steps = np.ones((depth + 1, len(names)))
-    for i in range(depth):
-        steps[i + 1] += np.bincount(dst, weights=1.0 / steps[i][src], minlength=len(names))
+    """Burden vectors from step 0 to the truncation depth (_burden_levels).
+    Lower vectors are better."""
+    names = sorted(framework.arguments)
+    steps = np.ones((cfg.depth_for(framework) + 1, len(names)))
+    for row, level in zip(steps[1:], _burden_levels(framework)):
+        row[:] = level
     return dict(zip(names, map(tuple, steps.T.tolist())))
 
 
 def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    return ranking_from_vectors(bbs_vectors(framework, cfg), tol=1e-9)
+    """ranking_from_vectors(bbs_vectors(framework, cfg), tol=1e-9), read one
+    level at a time (see _lex_ranking): each level is replaced by its 1e-9
+    clusters (orders.cluster_ranks), which is how ranking_from_vectors
+    compares it.  Where the stop never fires, every level up to
+    cfg.depth_for(framework) is read, so the cost still grows with it."""
+    levels = (cluster_ranks(level, 1e-9).tolist() for level in _burden_levels(framework))
+    return _lex_ranking(framework, levels, cfg.depth_for(framework))
+
+
+def _lex_ranking(framework: ArgFramework, levels: Iterator[list], depth: int) -> Ranking:
+    """Total preorder by the lexicographic order of the arguments' level
+    vectors, lowest first, over the first ``depth`` levels, which are read
+    one at a time; each level lists one value per sorted(arguments).
+
+    After level k the arguments that agree on levels 1..k form a class, and
+    the class ids follow the lexicographic order of those prefixes.  Reading
+    stops at the first level that splits no class and finds the classes
+    equitable: every member of a class has as many attackers in each class
+    as every other member.  That is exact.  The next level of an argument
+    sums a function of its attackers' current levels, so on an equitable
+    partition it is constant on each class (for burdens up to rounding far
+    below their 1e-9 clusters), and by induction no later level splits a
+    class; classes already differ in the prefix, so their order is fixed
+    too.  A level that merely splits nothing does not suffice: attacks
+    a0->a1, a0->a2, a0->a3, a1->a1, a1->a2, a2->a0, a2->a2, a3->a0 leave
+    three classes after levels 1 and 2 and four after level 3.  An
+    equitable partition never splits at the next level, so the test runs
+    only where none split, and once per partition.
+    """
+    names = sorted(framework.arguments)
+    index = {a: i for i, a in enumerate(names)}
+    attackers = [[index[b] for b in framework.attackers(a)] for a in names]
+    classes, count, tested = [0] * len(names), min(len(names), 1), False
+    for level in islice(levels, depth):
+        keys = list(zip(classes, level))
+        distinct = set(keys)
+        if len(distinct) > count:
+            ids = {key: i for i, key in enumerate(sorted(distinct))}
+            classes, count, tested = [ids[key] for key in keys], len(ids), False
+        elif not tested:
+            if _equitable(classes, attackers, count):
+                break
+            tested = True
+    members: list[list[str]] = [[] for _ in range(count)]
+    for a, c in zip(names, classes):
+        members[c].append(a)
+    return Ranking.from_classes(members)
+
+
+def _equitable(classes: list[int], attackers: list[list[int]], count: int) -> bool:
+    """True when every member of each of the ``count`` classes has as many
+    attackers in each class as every other member; argument i is in class
+    classes[i] and attacked by the arguments attackers[i]."""
+    signatures = {(classes[i], tuple(sorted(map(classes.__getitem__, attackers[i]))))
+                  for i in range(len(classes))}
+    return len(signatures) == count
 
 
 def tuples_values(framework: ArgFramework) -> dict[str, BranchProfile]:

@@ -1,6 +1,7 @@
 """Command-line behaviour: output formats, exit codes, witness round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from rankarg.cli import main, ranking_text
 from rankarg import semantics
 from rankarg.framework import serialize_apx
 from rankarg.semantics import SemanticsRef
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -71,6 +74,18 @@ def test_rank_json_round_trip(ex1_path, capsys, monkeypatch):
     engine = SemanticsRef("cat").ranking(example1())
     assert all(rebuilt.geq(a, b) == engine.geq(a, b)
                for a in rebuilt.arguments for b in rebuilt.arguments)
+
+
+@pytest.mark.parametrize("sid", ["dbs", "bbs"])
+@pytest.mark.parametrize("path", ["data/example1.apx", "data/figure2.apx", "tests/data/acyclic120.apx"])
+def test_rank_lex_depth_past_the_decided_level_costs_nothing(sid, path, capsys):
+    # dbs and bbs stop reading levels once the order is decided, so a huge
+    # depth neither allocates its levels nor changes the ranking
+    apx = str(ROOT / path)
+    assert main(["rank", apx, sid]) == 0
+    default = capsys.readouterr().out
+    assert main(["rank", apx, sid, "--lex-depth", "1000000000"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_rank_epsilon_flag_changes_scores(ex1_path, capsys):

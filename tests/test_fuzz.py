@@ -189,9 +189,9 @@ def test_matrix_solves_each_dbs_ranking_once_per_framework(monkeypatch):
     # the In check ranks the whole framework under the shared memo key;
     # pinning the dbs depth used to solve it a second time
     solved = []
-    vectors = semantics.dbs_vectors
-    monkeypatch.setattr(semantics, "dbs_vectors",
-                        lambda framework, cfg: solved.append(framework) or vectors(framework, cfg))
+    ranking = semantics.dbs_ranking
+    monkeypatch.setattr(semantics, "dbs_ranking",
+                        lambda framework, cfg: solved.append(framework) or ranking(framework, cfg))
     path = ArgFramework.make("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     build_matrix([path], [SemanticsRef("dbs")])
     assert len(solved) == len(set(solved)) > 1

@@ -1,6 +1,7 @@
 """Semantics tests against the worked running example, closed forms, and
 independent recurrence/labelling oracles."""
 
+import itertools
 import math
 import random
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from rankarg.framework import ArgFramework, BranchProfile, CyclicFrameworkError, walk_counts
 from rankarg.catalog import bundled, chain
-from rankarg.orders import Ranking
+from rankarg.fuzz import enumerate_all
+from rankarg.orders import Ranking, ranking_from_vectors
 from rankarg.semantics import (
     SEMANTICS_IDS,
     NonConvergenceError,
@@ -188,12 +190,12 @@ def test_dbs_steps_past_n_minus_1_never_split_a_tie():
     # Cayley-Hamilton: two walk-count sequences of an n-argument framework
     # that agree up to step n - 1 agree everywhere, so the default depth
     # 2n + 2 decides nothing that depth n - 1 leaves tied (which is why the
-    # In check need not pin the dbs depth)
+    # In check need not pin the dbs depth, and dbs_ranking reads no further)
     rng = random.Random(8)
     for _ in range(300):
         f = random_framework(rng, rng.randint(1, 8), rng.random() * 0.6)
         short = SolverConfig(lex_depth=max(len(f.arguments) - 1, 1))
-        assert dbs_ranking(f, short) == dbs_ranking(f)
+        assert ranking_from_vectors(dbs_vectors(f, short)) == ranking_from_vectors(dbs_vectors(f))
 
 
 # --- burden numbers ----------------------------------------------------------
@@ -238,6 +240,62 @@ def test_bbs_splits_distributed_defense_where_dbs_ties():
     f = bundled()["distributed_defense"]
     assert dbs_ranking(f).equivalent("a", "b")
     assert bbs_ranking(f).strict("a", "b")
+
+
+# --- stepwise reading of dbs and bbs -----------------------------------------
+
+
+def assert_full_depth(f, cfg=SolverConfig()):
+    """dbs_ranking and bbs_ranking stop early; the order must be the one of
+    all cfg.depth_for(f) levels."""
+    assert dbs_ranking(f, cfg) == ranking_from_vectors(dbs_vectors(f, cfg), tol=0), f
+    assert bbs_ranking(f, cfg) == ranking_from_vectors(bbs_vectors(f, cfg), tol=1e-9), f
+
+
+#: Its walk counts give three classes after levels 1 and 2 and four after
+#: level 3, so a level that splits nothing is no stop.
+LATE_SPLIT = ArgFramework.make(
+    ["a0", "a1", "a2", "a3"],
+    [("a0", "a1"), ("a0", "a2"), ("a0", "a3"), ("a1", "a1"), ("a1", "a2"),
+     ("a2", "a0"), ("a2", "a2"), ("a3", "a0")])
+
+
+def test_lex_rankings_equal_full_depth_on_every_framework_up_to_3():
+    for n in (1, 2, 3):
+        for f in enumerate_all(n):
+            assert_full_depth(f)
+
+
+def test_lex_rankings_read_past_a_level_that_splits_nothing():
+    two_levels = ranking_from_vectors(dbs_vectors(LATE_SPLIT, SolverConfig(lex_depth=2)))
+    assert classes(two_levels) == [["a3"], ["a0", "a1"], ["a2"]]
+    assert classes(dbs_ranking(LATE_SPLIT)) == [["a3"], ["a1"], ["a0"], ["a2"]]
+    assert_full_depth(LATE_SPLIT)
+
+
+def test_lex_rankings_equal_full_depth_on_cycles_and_circulants():
+    for n in range(1, 12):
+        names = [f"c{i}" for i in range(n)]
+        for jumps in itertools.combinations(range(1, n), min(2, n - 1)):
+            for used in (jumps[:1], jumps):
+                assert_full_depth(ArgFramework.make(
+                    names, [(names[i], names[(i + j) % n]) for i in range(n) for j in used]))
+
+
+def test_lex_rankings_equal_full_depth_on_random_frameworks():
+    rng = random.Random(12)
+    for _ in range(600):
+        assert_full_depth(random_framework(rng, rng.randint(1, 14), rng.random() * 0.5))
+
+
+def test_lex_rankings_truncate_at_an_explicit_depth():
+    rng = random.Random(13)
+    frameworks = [LATE_SPLIT] + [random_framework(rng, rng.randint(2, 10), rng.random() * 0.5)
+                                 for _ in range(200)]
+    for f in frameworks:
+        for depth in (1, 2, 3):
+            assert_full_depth(f, SolverConfig(lex_depth=depth))
+    assert classes(dbs_ranking(LATE_SPLIT, SolverConfig(lex_depth=2))) == [["a3"], ["a0", "a1"], ["a2"]]
 
 
 # --- tuples -------------------------------------------------------------------
