@@ -51,7 +51,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=DEFAULT_CONFIG.max_iter,
                         help="most fixed-point steps a cat/saf solve may take")
     parser.add_argument("--lex-depth", type=int, default=DEFAULT_CONFIG.lex_depth,
-                        help="step-vector truncation depth (default 2*|A|+2)")
+                        help="step-vector truncation depth (default 2*|A|+2); dbs and bbs "
+                             "stop earlier once their order is decided")
     parser.add_argument("--mt-cap", type=int, default=DEFAULT_CONFIG.mt_cap,
                         help="largest argument count the game semantics accepts")
     parser.add_argument("--seed", type=int, default=None,

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from operator import neg
 from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .framework import ArgFramework, BranchProfile, branch_profiles, walk_count_levels, walk_counts
+from .framework import ArgFramework, BranchProfile, branch_profiles, walk_count_levels
 from .game import GameSolution, game_value, pure_saddle, saddle_solution
 from .orders import Ranking, cluster_ranks, ranking_from_scores
 
@@ -72,8 +71,10 @@ class SolverConfig:
     saf solve stops, and ``max_iter`` bounds its steps (see _solve_fixpoint).
     ``lex_depth`` of None means "2*|A| + 2 for the framework at hand", which
     is exact for walk-count comparisons on acyclic graphs and a documented
-    cutoff on cyclic ones.  Values of a wrong type raise TypeError, and
-    values outside _CONFIG_RULES raise ValueError.
+    cutoff on cyclic ones.  It caps the levels dbs_ranking and bbs_ranking
+    read; both stop earlier once no later level can change their order.
+    Values of a wrong type raise TypeError, and values outside _CONFIG_RULES
+    raise ValueError.
     """
 
     epsilon: float = 0.1
@@ -265,29 +266,31 @@ def saf_residual(framework: ArgFramework, scores: dict[str, float], cfg: SolverC
     return worst
 
 
-def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
-    """Discussion-count vectors: step i counts length-i in-walks, positive at
-    odd steps and negative at even steps, matching the worked examples of the
-    source semantics (the smaller vector belongs to the better argument)."""
-    out = {}
-    for a, counts in walk_counts(framework, cfg.depth_for(framework)).counts.items():
-        signed = list(counts)
-        signed[1::2] = map(neg, counts[1::2])
-        out[a] = tuple(signed)
-    return out
-
-
 def _signed_walk_levels(framework: ArgFramework) -> Iterator[list[int]]:
-    """The levels of dbs_vectors, one list over sorted(arguments) each."""
+    """Steps 1, 2, ... of the discussion counts over sorted(arguments),
+    without end: step i counts length-i in-walks, positive at odd steps and
+    negative at even steps."""
     for i, counts in enumerate(walk_count_levels(framework)):
         yield [-c for c in counts] if i % 2 else counts
 
 
+def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
+    """Discussion-count vectors to the truncation depth (_signed_walk_levels),
+    matching the worked examples of the source semantics (the smaller vector
+    belongs to the better argument)."""
+    levels = islice(_signed_walk_levels(framework), cfg.depth_for(framework))
+    return dict(zip(sorted(framework.arguments), zip(*levels)))
+
+
 def dbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
     """ranking_from_vectors(dbs_vectors(framework, cfg), tol=0), read one
-    level at a time (see _lex_ranking) and at most max(|A| - 1, 1) levels:
-    by Cayley-Hamilton the walk counts of length |A| and beyond are linear
-    combinations of the shorter ones, so they split no class."""
+    level at a time.  It stops at the first level that splits no class of
+    arguments agreeing so far and finds the classes equitable (every member
+    of a class has as many attackers in each class as every other member):
+    each later level sums the attackers' previous one, so it is constant on
+    every class and the order is decided (see _lex_ranking).  It also stops
+    after max(|A| - 1, 1) levels: by Cayley-Hamilton the walk counts of
+    length |A| and beyond are linear combinations of the shorter ones."""
     depth = min(cfg.depth_for(framework), max(len(framework.arguments) - 1, 1))
     return _lex_ranking(framework, _signed_walk_levels(framework), depth)
 
@@ -315,9 +318,14 @@ def bbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 
 def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
     """ranking_from_vectors(bbs_vectors(framework, cfg), tol=1e-9), read one
-    level at a time (see _lex_ranking): each level is replaced by its 1e-9
-    clusters (orders.cluster_ranks), which is how ranking_from_vectors
-    compares it.  Where the stop never fires, every level up to
+    level at a time, each level replaced by its 1e-9 clusters
+    (orders.cluster_ranks) as ranking_from_vectors compares it.  It stops at
+    the first level that splits no class of arguments agreeing so far and
+    finds the classes equitable (every member of a class has as many
+    attackers in each class as every other member): each later burden sums
+    reciprocals of the attackers' previous ones, so it is constant on every
+    class up to rounding far below 1e-9 and the order is decided (see
+    _lex_ranking).  Where the stop never fires, every level up to
     cfg.depth_for(framework) is read, so the cost still grows with it."""
     levels = (cluster_ranks(level, 1e-9).tolist() for level in _burden_levels(framework))
     return _lex_ranking(framework, levels, cfg.depth_for(framework))
