@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Compare a base revision with this checkout on one perfbench workload.
+"""Compare a base revision with this checkout on perfbench workloads.
 
     python3 scripts/bench_pairs.py --base f5d5010 --workload rank-large --seed 0 --pairs 10
+    python3 scripts/bench_pairs.py --base f5d5010 --workload matrix-structural matrix-game --pairs 3
+    python3 scripts/bench_pairs.py --base f5d5010 --workload all --pairs 3
 
 The base revision is exported with ``git archive`` into a temporary
 directory.  Each pair runs ``perfbench/run.py --trace 0``, unchanged and for
 BENCHMARK.json's ``run_seconds``, once in the base tree and once in this
 checkout, one run at a time; the side that goes first alternates from pair
 to pair, so slow drift of the machine hits both sides alike.  A run that
-is not ``correct`` or has failed operations stops the comparison.  The
-entry appended to ``--out`` (default BENCH_rank.json) holds every run's
-end-to-end metrics, and per metric the median and quartiles of each side
-and the number of pairs the change won.
+is not ``correct`` or has failed operations stops the comparison.
+``--workload`` takes one or more workload names, or ``all`` for every
+workload of BENCHMARK.json; they run one after another, each for
+``--pairs`` pairs.  Each workload appends one entry to ``--out`` (default
+BENCH_rank.json) as soon as its pairs are done: every run's end-to-end
+metrics, and per metric the median and quartiles of each side and the
+number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -79,49 +84,59 @@ def positive_int(text: str) -> int:
     return value
 
 
+def compare(base_tree: Path, workload: str, seed: int, pairs: int, seconds: float,
+            better: dict[str, str]) -> tuple[list[dict], dict]:
+    """``pairs`` alternated (base, change) runs of one workload."""
+    runs, machine = [], {}
+    for i in range(pairs):
+        pair = {}
+        order = (("base", base_tree), ("change", ROOT))
+        for side, tree in order if i % 2 == 0 else reversed(order):
+            result = run_once(tree, workload, seed, seconds)
+            pair[side] = result["metrics"]
+            machine = machine or result["machine"]
+        runs.append(pair)
+        print(f"{workload} pair {i + 1}/{pairs}: " + ", ".join(
+            f"{name} {pair['base'][name]:.4g} -> {pair['change'][name]:.4g}" for name in better),
+            flush=True)
+    return runs, machine
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", default="rank-large",
-                        choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--workload", nargs="+", default=["rank-large"], choices=names + ["all"],
+                        help="one or more workloads, or all")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=positive_int, default=10)
     parser.add_argument("--out", default=str(ROOT / "BENCH_rank.json"))
     args = parser.parse_args(argv)
+    workloads = names if "all" in args.workload else list(dict.fromkeys(args.workload))
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    runs, machine = [], {}
+    command = " ".join(["scripts/bench_pairs.py"] + (argv if argv is not None else sys.argv[1:]))
+    out = Path(args.out)
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
         export(args.base, base_tree)
-        for i in range(args.pairs):
-            pair = {}
-            order = (("base", base_tree), ("change", ROOT))
-            for side, tree in order if i % 2 == 0 else reversed(order):
-                result = run_once(tree, args.workload, args.seed, seconds)
-                pair[side] = result["metrics"]
-                machine = machine or result["machine"]
-            runs.append(pair)
-            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{name} {pair['base'][name]:.4g} -> {pair['change'][name]:.4g}" for name in better),
-                flush=True)
-
-    entry = {
-        "date": datetime.date.today().isoformat(),
-        "base": git("rev-parse", "--short", args.base),
-        "change": git("describe", "--always", "--dirty"),
-        "machine": {k: machine.get(k) for k in ("cores", "ram_gb", "python", "numpy", "blas")},
-        "command": " ".join(["scripts/bench_pairs.py"] + (argv if argv is not None else sys.argv[1:])),
-        "workload": args.workload, "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
-        "summary": summarise(runs, better),
-        "runs": runs,
-    }
-    out = Path(args.out)
-    entries = json.loads(out.read_text())["entries"] if out.exists() else []
-    out.write_text(json.dumps({"entries": entries + [entry]}, indent=1) + "\n")
-    print(json.dumps(entry["summary"], indent=1))
+        for workload in workloads:
+            runs, machine = compare(base_tree, workload, args.seed, args.pairs, seconds, better)
+            entry = {
+                "date": datetime.date.today().isoformat(),
+                "base": git("rev-parse", "--short", args.base),
+                "change": git("describe", "--always", "--dirty"),
+                "machine": {k: machine.get(k) for k in ("cores", "ram_gb", "python", "numpy", "blas")},
+                "command": command,
+                "workload": workload, "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
+                "summary": summarise(runs, better),
+                "runs": runs,
+            }
+            entries = json.loads(out.read_text())["entries"] if out.exists() else []
+            out.write_text(json.dumps({"entries": entries + [entry]}, indent=1) + "\n")
+            print(json.dumps(entry["summary"], indent=1), flush=True)
     return 0
 
 

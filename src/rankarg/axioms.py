@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, combinations, product
 from typing import Callable, Iterable
 
@@ -175,29 +175,82 @@ def _pairs(names: Iterable[str]):
                 yield a, b
 
 
+class EvalContext:
+    """What the checks of one framework share, across properties and semantics.
+
+    ``rank(sem, f)`` memoises, per (SemanticsRef, ArgFramework) key, the
+    (ranking, stop verdict) pair of that solve; a refused solve is stored
+    too.  The constructions the checks build from ``framework`` -- the Abs
+    renamings per seed, the grafted clones per (target, kind, length) and
+    the connected components -- are built once, when first asked for.  The
+    caller creates one context per framework, hands it to every check of
+    that framework, and drops it when done, so memory does not grow with
+    the corpus.
+    """
+
+    def __init__(self, framework: ArgFramework):
+        self.framework = framework
+        self._rankings: dict = {}
+        self._renamings: dict[int, tuple[random.Random, list]] = {}
+        self._grafts: dict[tuple[str, str, int], tuple[ArgFramework, dict[str, str]]] = {}
+
+    def rank(self, sem: SemanticsRef, f: ArgFramework):
+        key = (sem, f)
+        if key not in self._rankings:
+            self._rankings[key] = _ranking_or_verdict(sem, f)
+        return self._rankings[key]
+
+    @cached_property
+    def components(self) -> list[ArgFramework]:
+        return connected_components(self.framework)
+
+    def renamings(self, seed: int):
+        """The ABS_TRIALS (renaming, renamed framework) pairs Abs tries under
+        ``seed``, in order; each is built when first reached."""
+        if seed not in self._renamings:
+            key = int(framework_key(self.framework), 16)
+            self._renamings[seed] = random.Random(seed * 0x9E3779B1 + key), []
+        rng, built = self._renamings[seed]
+        names = sorted(self.framework.arguments)
+        for i in range(ABS_TRIALS):
+            if i == len(built):
+                fresh = [f"v{k}" for k in range(len(names))]
+                rng.shuffle(fresh)
+                gamma = dict(zip(names, fresh))
+                built.append((gamma, rename(self.framework, gamma)))
+            yield built[i]
+
+    def graft(self, target: str, kind: str, length: int) -> tuple[ArgFramework, dict[str, str]]:
+        """F union fresh clone union branch grafted onto the clone's image of
+        target, with the clone's renaming."""
+        key = (target, kind, length)
+        if key not in self._grafts:
+            clone, gamma = clone_fresh(self.framework)
+            merged = disjoint_union(self.framework, clone)
+            self._grafts[key] = graft_branch(merged, gamma[target], kind, length), gamma
+        return self._grafts[key]
+
+
 def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
-          seed: int = 0, rankings: dict | None = None) -> PropertyVerdict:
+          seed: int = 0, context: EvalContext | None = None) -> PropertyVerdict:
     """Verdict of one property on one framework under one semantics.
 
-    ``rankings`` memoises, per (SemanticsRef, ArgFramework) key, the
-    (ranking, stop verdict) pair of that solve; a refused solve is stored
-    too.  Checks that share one dict solve each key once, so pass the same
-    dict to every property of one (framework, semantics) pair.
+    ``context`` is the framework's EvalContext: checks that share it solve
+    each ranking once and build each construction once, so pass the same
+    context to every property and semantics checked on one framework.  A
+    context made for another framework raises ValueError.  Without one the
+    check builds a private context, so it solves and builds afresh.
     """
+    if context is None:
+        context = EvalContext(framework)
+    elif context.framework != framework:
+        raise ValueError("the evaluation context belongs to another framework")
     if not framework.arguments:
         return _na("empty framework")
-    memo = {} if rankings is None else rankings
-
-    def rank(f: ArgFramework, sem: SemanticsRef = sem):
-        key = (sem, f)
-        if key not in memo:
-            memo[key] = _ranking_or_verdict(sem, f)
-        return memo[key]
-
     checker = _CHECKERS[prop]
     if isinstance(checker, PairRule):
-        return _check_pairs(checker, framework, rank)
-    return checker(framework, sem, rank, seed)
+        return _check_pairs(checker, framework, partial(context.rank, sem))
+    return checker(context, sem, seed)
 
 
 @dataclass(frozen=True)
@@ -313,33 +366,30 @@ def _avsfd_premise(framework, _):
     return ((a, b) for a in no_attack_branch for b in lone_target if a != b)
 
 
-def _check_in(framework, sem, rank, _seed):
-    pinned = sem.pinned_to(framework)
-    whole, stop = rank(framework, sem=pinned)
+def _check_in(context, sem, _seed):
+    pinned = sem.pinned_to(context.framework)
+    whole, stop = context.rank(pinned, context.framework)
     if stop:
         return stop
-    for comp in connected_components(framework):
-        part, stop = rank(comp, sem=pinned)
+    for comp in context.components:
+        part, stop = context.rank(pinned, comp)
         if stop:
             return stop
         for a, b in _pairs(comp.arguments):
             if part.geq(a, b) and not whole.geq(a, b):
-                return _violated(framework, (a, b),
+                return _violated(context.framework, (a, b),
                                  f"{a} >= {b} inside its component but not in the whole")
     return _holds()
 
 
-def _check_abs(framework, _sem, rank, seed):
-    ranking, stop = rank(framework)
+def _check_abs(context, sem, seed):
+    framework = context.framework
+    ranking, stop = context.rank(sem, framework)
     if stop:
         return stop
-    rng = random.Random(seed * 0x9E3779B1 + int(framework_key(framework), 16))
     names = sorted(framework.arguments)
-    for _ in range(ABS_TRIALS):
-        fresh = [f"v{i}" for i in range(len(names))]
-        rng.shuffle(fresh)
-        gamma = dict(zip(names, fresh))
-        other, stop = rank(rename(framework, gamma))
+    for gamma, renamed in context.renamings(seed):
+        other, stop = context.rank(sem, renamed)
         if stop:
             return stop
         for a, b in _pairs(names):
@@ -348,30 +398,24 @@ def _check_abs(framework, _sem, rank, seed):
     return _holds()
 
 
-def _grafted_clone(framework, target, kind, length):
-    """F union fresh clone union branch grafted onto the clone's image of target."""
-    clone, gamma = clone_fresh(framework)
-    merged = disjoint_union(framework, clone)
-    return graft_branch(merged, gamma[target], kind, length), gamma
-
-
-def _branch_added(framework, a, kind, length, improved_is_clone, **_):
-    """(F*, better, worse): the graft built for argument a, and the pair the
-    branch-addition property demands strictly of F*.  Takes the keywords of
-    a _check_branch_addition partial whole."""
-    star, gamma = _grafted_clone(framework, a, kind, length)
+def _branch_added(context, a, kind, length, improved_is_clone, **_):
+    """(F*, better, worse): the graft built for argument a of the context's
+    framework, and the pair the branch-addition property demands strictly
+    of F*.  Takes the keywords of a _check_branch_addition partial whole."""
+    star, gamma = context.graft(a, kind, length)
     return (star, gamma[a], a) if improved_is_clone else (star, a, gamma[a])
 
 
-def _check_branch_addition(framework, _sem, rank, _seed, *, only_attacked, kind, length,
+def _check_branch_addition(context, sem, _seed, *, only_attacked, kind, length,
                            improved_is_clone):
+    framework = context.framework
     todo = sorted(a for a in framework.arguments
                   if not only_attacked or framework.is_attacked(a))
     if not todo:
         return _na("no argument satisfies the premise")
     for a in todo:
-        star, better, worse = _branch_added(framework, a, kind, length, improved_is_clone)
-        ranking, stop = rank(star)
+        star, better, worse = _branch_added(context, a, kind, length, improved_is_clone)
+        ranking, stop = context.rank(sem, star)
         if stop:
             return stop
         if not ranking.strict(better, worse):
@@ -381,7 +425,8 @@ def _check_branch_addition(framework, _sem, rank, _seed, *, only_attacked, kind,
     return _holds()
 
 
-def _check_branch_increase(framework, _sem, rank, _seed, *, lengthen_attack):
+def _check_branch_increase(context, sem, _seed, *, lengthen_attack):
+    framework = context.framework
     roots = branch_roots(framework)
     instances = []
     for a in sorted(framework.arguments):
@@ -390,12 +435,9 @@ def _check_branch_increase(framework, _sem, rank, _seed, *, lengthen_attack):
         instances.extend((a, b) for b in sorted(pool))
     if not instances:
         return _na("no argument has a pure attack/defense root")
-    star_cache: dict[str, tuple[ArgFramework, dict[str, str]]] = {}
     for a, b in instances:
-        if b not in star_cache:
-            star_cache[b] = _grafted_clone(framework, b, "defense", DEFENSE_LENGTH)
-        star, gamma = star_cache[b]
-        ranking, stop = rank(star)
+        star, gamma = context.graft(b, "defense", DEFENSE_LENGTH)
+        ranking, stop = context.rank(sem, star)
         if stop:
             return stop
         better, worse = (gamma[a], a) if lengthen_attack else (a, gamma[a])
@@ -591,7 +633,8 @@ def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitnes
 
     if key == frozenset({PropertyId.CP, PropertyId.PLUS_DB}):
         base = ArgFramework.make("ax", [("x", "a")])
-        star, better, worse = _branch_added(base, "a", **_CHECKERS[PropertyId.PLUS_DB].keywords)
+        star, better, worse = _branch_added(EvalContext(base), "a",
+                                        **_CHECKERS[PropertyId.PLUS_DB].keywords)
         cp = _cp_demand(star, worse, better)
         db = Demand(PropertyId.PLUS_DB, better, worse,
                     "the grafted defense branch must strictly improve the attacked copy")
@@ -599,7 +642,8 @@ def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitnes
                                       base=base)
 
     base = ArgFramework.make("a")
-    star, better, worse = _branch_added(base, "a", **_CHECKERS[PropertyId.PLUS_DB_STRICT].keywords)
+    star, better, worse = _branch_added(EvalContext(base), "a",
+                                        **_CHECKERS[PropertyId.PLUS_DB_STRICT].keywords)
     vp = Demand(PropertyId.VP, worse, better,
                 f"{worse} is unattacked and {better} is attacked by the grafted branch")
     db = Demand(PropertyId.PLUS_DB_STRICT, better, worse,
@@ -622,7 +666,7 @@ def _demand_holds(witness: IncompatibilityWitness, demand: Demand) -> bool:
     if base is None or target not in base.arguments or (
             rule["only_attacked"] and not base.is_attacked(target)):
         return False
-    star, better, worse = _branch_added(base, target, **rule)
+    star, better, worse = _branch_added(EvalContext(base), target, **rule)
     return star == witness.framework and (better, worse) == pair
 
 

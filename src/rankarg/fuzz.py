@@ -12,6 +12,7 @@ from . import catalog
 from .axioms import (
     DEPENDENCY_RULES,
     PROPERTY_ORDER,
+    EvalContext,
     PropertyId,
     PropertyVerdict,
     VerdictStatus,
@@ -147,23 +148,26 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
                  shrink: bool = True, dependency_rules=None) -> MatrixReport:
     """Run the checker over the corpus and aggregate per-cell reports.
 
-    The properties of one (framework, semantics) pair share one ranking
-    memo, so each ranking that pair needs is solved once.  The per-instance
-    dependency audits run on every pair; with the default rule set any hit
-    means a checker bug.  A semantics or property listed twice runs once, in
-    the order of its first listing.
+    Each corpus framework gets one EvalContext, shared by every property
+    and semantics checked on it, so each ranking is solved once and each
+    renaming, graft and component is built once per framework.  The
+    per-instance dependency audits run on every (framework, semantics)
+    pair; with the default rule set any hit means a checker bug.  A
+    semantics or property listed twice runs once, in the order of its
+    first listing.
     """
     corpus = list(corpus)
     refs = list(dict.fromkeys(semantics))
     props = list(dict.fromkeys(properties))
+    rules = DEPENDENCY_RULES if dependency_rules is None else dependency_rules
     cells = {(ref.sid, prop): CellReport() for ref in refs for prop in props}
     failures: list[str] = []
     for framework in corpus:
+        context = EvalContext(framework)
         for ref in refs:
             verdicts: dict[PropertyId, PropertyVerdict] = {}
-            rankings: dict = {}
             for prop in props:
-                verdict = check(prop, framework, ref, seed=seed, rankings=rankings)
+                verdict = check(prop, framework, ref, seed=seed, context=context)
                 verdicts[prop] = verdict
                 cell = cells[(ref.sid, prop)]
                 cell.trials += 1
@@ -177,7 +181,6 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
                     cell.not_applicable += 1
                 else:
                     cell.inconclusive += 1
-            rules = DEPENDENCY_RULES if dependency_rules is None else dependency_rules
             for problem in audit_dependencies(verdicts, rules):
                 failures.append(f"{ref.sid} on {framework_key(framework)}: {problem}")
     if shrink:
@@ -298,20 +301,33 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
                        semantics: Iterable[str] = SEMANTICS_IDS,
                        properties: Iterable[PropertyId] = PROPERTY_ORDER,
                        dependency_rules=None) -> MatrixReport:
-    """The standard satisfaction-matrix run over the default corpora; a
-    semantics or property listed twice runs once, as in build_matrix."""
+    """The standard satisfaction-matrix run over the default corpora.
+
+    The semantics of the cheap corpus (cat, saf, dbs, bbs, grounded) run in
+    one build_matrix call, so they share each framework's EvalContext;
+    tuples and mt each run over their own corpus.  Cells and dependency
+    failures come back in the requested semantics order, lane by lane, as
+    if each lane had run alone.  A semantics or property listed twice runs
+    once, as in build_matrix.
+    """
     corpora = default_corpora(budget)
     props = list(dict.fromkeys(properties))
     wanted = list(dict.fromkeys(semantics))
-    cells: dict[tuple[str, PropertyId], CellReport] = {}
-    failures: list[str] = []
+    by_corpus: dict[str, list[str]] = {}
     for sid in wanted:
-        corpus = corpora[sid if sid in ("tuples", "mt") else "cheap"]
-        part = build_matrix(corpus, [lane_ref(sid, budget)], props, seed=budget.seed,
-                            dependency_rules=dependency_rules)
+        by_corpus.setdefault(sid if sid in ("tuples", "mt") else "cheap", []).append(sid)
+    cells: dict[tuple[str, PropertyId], CellReport] = {}
+    lane_failures: dict[str, list[str]] = {sid: [] for sid in wanted}
+    for name, sids in by_corpus.items():
+        part = build_matrix(corpora[name], [lane_ref(sid, budget) for sid in sids], props,
+                            seed=budget.seed, dependency_rules=dependency_rules)
         cells.update(part.cells)
-        failures.extend(part.dependency_failures)
-    return MatrixReport(cells, tuple(wanted), tuple(props), failures)
+        for failure in part.dependency_failures:
+            # each failure starts with its lane's sid, as build_matrix writes it
+            lane_failures[failure.split(" ", 1)[0]].append(failure)
+    return MatrixReport({(sid, prop): cells[(sid, prop)] for sid in wanted for prop in props},
+                        tuple(wanted), tuple(props),
+                        [failure for sid in wanted for failure in lane_failures[sid]])
 
 
 def render_matrix_text(report: MatrixReport,

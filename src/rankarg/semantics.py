@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -290,9 +290,12 @@ def dbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     each later level sums the attackers' previous one, so it is constant on
     every class and the order is decided (see _lex_ranking).  It also stops
     after max(|A| - 1, 1) levels: by Cayley-Hamilton the walk counts of
-    length |A| and beyond are linear combinations of the shorter ones."""
+    length |A| and beyond are linear combinations of the shorter ones.
+    And it stops at the first level that is all zero, where the walks run
+    out (past the longest path of an acyclic framework): every later level
+    is zero too, so no later level splits a class."""
     depth = min(cfg.depth_for(framework), max(len(framework.arguments) - 1, 1))
-    return _lex_ranking(framework, _signed_walk_levels(framework), depth)
+    return _lex_ranking(framework, takewhile(any, _signed_walk_levels(framework)), depth)
 
 
 def _burden_levels(framework: ArgFramework) -> Iterator[np.ndarray]:

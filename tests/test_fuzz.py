@@ -7,8 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from rankarg import fuzz, semantics
-from rankarg.axioms import PropertyId, VerdictStatus, check
+from rankarg import axioms, fuzz, semantics
+from rankarg.axioms import (
+    ABS_TRIALS,
+    EXTENDED_DEPENDENCY_RULES,
+    EvalContext,
+    PropertyId,
+    VerdictStatus,
+    check,
+)
 from rankarg.catalog import bundled, example1, figure2
 from rankarg.framework import ArgFramework, has_cycle
 from rankarg.fuzz import (
@@ -20,6 +27,7 @@ from rankarg.fuzz import (
     default_corpora,
     enumerate_all,
     gen_random,
+    lane_ref,
     matrix_records,
     render_matrix_text,
     run_default_matrix,
@@ -200,8 +208,8 @@ def test_matrix_solves_each_dbs_ranking_once_per_framework(monkeypatch):
 def test_matrix_verdicts_equal_standalone_checks(monkeypatch):
     seen = []
 
-    def recording(prop, framework, sem, seed=0, rankings=None):
-        verdict = check(prop, framework, sem, seed=seed, rankings=rankings)
+    def recording(prop, framework, sem, seed=0, context=None):
+        verdict = check(prop, framework, sem, seed=seed, context=context)
         seen.append((prop, framework, sem, seed, verdict))
         return verdict
 
@@ -213,6 +221,60 @@ def test_matrix_verdicts_equal_standalone_checks(monkeypatch):
     assert len(seen) == len(corpus) * len(SEMANTICS_IDS) * 18
     for prop, framework, sem, seed, verdict in seen:
         assert check(prop, framework, sem, seed=seed) == verdict, (prop.value, sem.sid)
+
+
+def test_matrix_builds_each_construction_once_per_framework(monkeypatch):
+    calls = {"rename": [], "clone_fresh": [], "graft_branch": [], "requested": []}
+    for name in ("rename", "clone_fresh", "graft_branch"):
+        original = getattr(axioms, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(axioms, name, counted)
+    graft = EvalContext.graft
+
+    def requested(context, *key):
+        calls["requested"].append(key)
+        return graft(context, *key)
+
+    monkeypatch.setattr(EvalContext, "graft", requested)
+    corpus = list(enumerate_all(2)) + [example1(), figure2()]
+    refs = [SemanticsRef(sid) for sid in ("cat", "saf", "dbs", "bbs", "grounded")]
+    build_matrix(corpus, refs, seed=1, shrink=False)
+    assert len(calls["rename"]) == ABS_TRIALS * len(corpus)
+    # one clone and one graft per distinct (framework, target, kind, length),
+    # though every semantics and several properties ask for each
+    grafts = calls["graft_branch"]
+    assert len(calls["clone_fresh"]) == len(grafts) == len(set(grafts)) > 0
+    assert len(calls["requested"]) > 5 * len(grafts)
+
+
+def test_context_refuses_another_framework():
+    context = EvalContext(example1())
+    with pytest.raises(ValueError, match="another framework"):
+        check(PropertyId.VP, figure2(), SemanticsRef("cat"), context=context)
+
+
+def test_default_matrix_keeps_the_requested_lane_order():
+    budget = FuzzBudget(random_trials=30, exhaustive_n=2, mt_random_trials=30)
+    wanted = ["grounded", "tuples", "cat", "mt", "dbs"]
+    # VP => not CP-violated is no theorem; it fires in the cheap lanes, and
+    # the extended rules fire in mt
+    rules = EXTENDED_DEPENDENCY_RULES + (((PropertyId.VP,), PropertyId.CP),)
+    report = run_default_matrix(budget, semantics=wanted, dependency_rules=rules)
+    corpora = default_corpora(budget)
+    lanes = [build_matrix(corpora[sid if sid in ("tuples", "mt") else "cheap"],
+                          [lane_ref(sid, budget)], seed=budget.seed, dependency_rules=rules)
+             for sid in wanted]
+    assert report.semantics == tuple(wanted)
+    assert list(report.cells) == [key for lane in lanes for key in lane.cells]
+    assert report.cells == {key: cell for lane in lanes for key, cell in lane.cells.items()}
+    assert report.dependency_failures == [f for lane in lanes for f in lane.dependency_failures]
+    fired = [f.split(" ", 1)[0] for f in report.dependency_failures]
+    assert {"mt", "cat", "grounded"} <= set(fired)
+    assert fired == sorted(fired, key=wanted.index)
 
 
 def test_default_matrix_matches_golden_verdict_counts():

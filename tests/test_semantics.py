@@ -4,12 +4,21 @@ independent recurrence/labelling oracles."""
 import itertools
 import math
 import random
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankarg.framework import ArgFramework, BranchProfile, CyclicFrameworkError, walk_counts
+from rankarg import semantics
+from rankarg.framework import (
+    ArgFramework,
+    BranchProfile,
+    CyclicFrameworkError,
+    parse_apx,
+    walk_counts,
+)
 from rankarg.catalog import bundled, chain
 from rankarg.fuzz import enumerate_all
 from rankarg.orders import Ranking, ranking_from_vectors
@@ -296,6 +305,30 @@ def test_lex_rankings_truncate_at_an_explicit_depth():
         for depth in (1, 2, 3):
             assert_full_depth(f, SolverConfig(lex_depth=depth))
     assert classes(dbs_ranking(LATE_SPLIT, SolverConfig(lex_depth=2))) == [["a3"], ["a0", "a1"], ["a2"]]
+
+
+def test_dbs_stops_where_the_walks_run_out(monkeypatch):
+    # every walk count past the longest path of an acyclic framework is 0,
+    # so dbs reads at most that path's length + 1 levels, the last all zero
+    f = parse_apx((Path(__file__).parent / "data" / "acyclic120.apx").read_text())
+
+    @cache
+    def longest_into(a):
+        return max((longest_into(b) + 1 for b in f.attackers(a)), default=0)
+
+    longest = max(map(longest_into, f.arguments))
+    read = []
+    levels = semantics.walk_count_levels
+
+    def counted(framework):
+        for level in levels(framework):
+            read.append(level)
+            yield level
+
+    monkeypatch.setattr(semantics, "walk_count_levels", counted)
+    ranking = dbs_ranking(f)
+    assert 0 < len(read) <= longest + 1 < len(f.arguments) - 1
+    assert ranking == ranking_from_vectors(dbs_vectors(f), tol=0)
 
 
 # --- tuples -------------------------------------------------------------------
