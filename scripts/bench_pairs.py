@@ -128,7 +128,8 @@ def main(argv=None) -> int:
                 "date": datetime.date.today().isoformat(),
                 "base": git("rev-parse", "--short", args.base),
                 "change": git("describe", "--always", "--dirty"),
-                "machine": {k: machine.get(k) for k in ("cores", "ram_gb", "python", "numpy", "blas")},
+                "machine": {k: machine.get(k)
+                            for k in ("cores", "ram_gb", "python", "numpy", "blas")},
                 "command": command,
                 "workload": workload, "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
                 "summary": summarise(runs, better),
