@@ -42,13 +42,7 @@ from .framework import (
     walk_counts,
 )
 from .game import GameSolution, GameSolverError, game_value
-from .orders import (
-    Ranking,
-    group_geq,
-    group_gt,
-    ranking_from_scores,
-    ranking_from_vectors,
-)
+from .orders import Ranking, group_geq, group_gt, ranking_from_scores
 from .semantics import (
     SEMANTICS_IDS,
     NonConvergenceError,

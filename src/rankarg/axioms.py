@@ -367,10 +367,14 @@ def _avsfd_premise(framework, _):
 
 
 def _check_in(context, sem, _seed):
-    pinned = sem.pinned_to(context.framework)
-    whole, stop = context.rank(pinned, context.framework)
+    # The pinned depth of the whole is its own depth_for, so the whole shares
+    # sem's memo key; a connected framework is its own only component.
+    whole, stop = context.rank(sem, context.framework)
     if stop:
         return stop
+    if len(context.components) == 1:
+        return _holds()
+    pinned = sem.pinned_to(context.framework)
     for comp in context.components:
         part, stop = context.rank(pinned, comp)
         if stop:

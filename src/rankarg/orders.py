@@ -1,5 +1,7 @@
-"""Preorders over arguments, lexicographic vector comparison, and the
-set-vs-set group comparison used by counter-transitivity style checks."""
+"""Preorders over arguments, the tolerance clustering of a score level, and
+the set-vs-set group comparison used by counter-transitivity style checks.
+The dbs and bbs rankings are built level by level in semantics._lex_ranking
+(oracle: tests/ranking_ref.ref_ranking_from_vectors)."""
 
 from __future__ import annotations
 
@@ -172,66 +174,43 @@ class Ranking:
         return f"Ranking({' > '.join(parts)})"
 
 
-def _max_matching(left: Sequence[str], right: Sequence[str],
-                  edge: Mapping[str, list[str]], forced: tuple[str, str] | None = None) -> bool:
-    """Can every left vertex be matched?  Standard augmenting-path search.
-
-    ``forced`` pins one (left, right) pair before matching the rest.
-    """
-    match_right: dict[str, str] = {}
-    if forced is not None:
-        match_right[forced[1]] = forced[0]
-
-    def augment(node: str, seen: set[str]) -> bool:
-        for cand in edge[node]:
-            if cand in seen:
-                continue
-            seen.add(cand)
-            taken = match_right.get(cand)
-            if taken is None or (taken != forced_left and augment(taken, seen)):
-                match_right[cand] = node
-                return True
-        return False
-
-    forced_left = forced[0] if forced else None
-    for node in left:
-        if node == forced_left:
-            continue
-        if not augment(node, set()):
-            return False
-    return True
-
-
 def group_geq(s1: Iterable[str], s2: Iterable[str], ranking: Ranking) -> bool:
-    """True iff some injective f: s2 -> s1 has f(a) at least as good as a."""
+    """True iff some injective f: s2 -> s1 has f(a) at least as good as a:
+    an augmenting-path search for a matching that covers s2."""
     left = sorted(set(s2))
     right = sorted(set(s1))
     if len(left) > len(right):
         return False
     edge = {a: [b for b in right if ranking.geq(b, a)] for a in left}
-    return _max_matching(left, right, edge)
+    match_right: dict[str, str] = {}
+
+    def augment(node: str, seen: set[str]) -> bool:
+        for cand in edge[node]:
+            if cand not in seen:
+                seen.add(cand)
+                taken = match_right.get(cand)
+                if taken is None or augment(taken, seen):
+                    match_right[cand] = node
+                    return True
+        return False
+
+    return all(augment(node, set()) for node in left)
 
 
 def group_gt(s1: Iterable[str], s2: Iterable[str], ranking: Ranking) -> bool:
-    """Strict group comparison.
+    """Strict group comparison: some witness f of :func:`group_geq` exists,
+    and s1 is strictly larger or f maps some argument strictly up.
 
-    Requires :func:`group_geq`, plus either a strictly larger s1 or a single
-    injective witness whose edges are all geq with at least one strict.  The
-    strict witness is found by forcing each strict edge in turn and testing
-    whether the remainder still matches.
+    On any preorder, total or partial, that is exactly s1 >= s2 and not
+    s2 >= s1.  Sizes decide it unless |s1| = |s2|, where every witness is a
+    bijection.  If a witness f: s2 -> s1 has f(a) strictly above a and some
+    g: s1 -> s2 witnesses s2 >= s1, then h = g.f is a permutation of s2
+    with h(x) at least as good as x for every x and h(a) strictly above a;
+    following a's cycle under h back to a would put a strictly above itself.
+    If instead every witness of s1 >= s2 maps each argument to an equivalent
+    one, the inverse of any of them witnesses s2 >= s1.
     """
-    left = sorted(set(s2))
-    right = sorted(set(s1))
-    if not group_geq(s1, s2, ranking):
-        return False
-    if len(left) < len(right):
-        return True
-    edge = {a: [b for b in right if ranking.geq(b, a)] for a in left}
-    for a in left:
-        for b in edge[a]:
-            if ranking.strict(b, a) and _max_matching(left, right, edge, forced=(a, b)):
-                return True
-    return False
+    return group_geq(s1, s2, ranking) and not group_geq(s2, s1, ranking)
 
 
 def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
@@ -261,44 +240,10 @@ def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
 
 
 def cluster_ranks(values: np.ndarray, tol: float) -> np.ndarray:
-    """Rank of every entry within its column (axis 0), lowest first: the
-    sorted values of a column split into clusters wherever two consecutive
-    ones differ by more than ``tol``, and an entry's rank is the number of
-    splits below it."""
-    columns = values[:, None] if values.ndim == 1 else values
-    order = np.argsort(columns, axis=0, kind="stable")
-    column = np.arange(columns.shape[1])
-    ordered = columns[order, column]
-    ranks = np.zeros(columns.shape, dtype=np.int64)
-    ranks[order[1:], column] = np.cumsum(ordered[1:] - ordered[:-1] > tol, axis=0)
-    return ranks.reshape(values.shape)
-
-
-def ranking_from_vectors(vectors: Mapping[str, Sequence[float]], tol: float = 0.0) -> Ranking:
-    """Total preorder by lexicographic comparison of equal-length vectors,
-    the lower vector being the better.
-
-    With ``tol == 0`` the vectors are compared as they are, which suits exact
-    integers of any size.  With ``tol > 0`` (float vectors) each coordinate
-    is first canonicalised by clustering its sorted values over all
-    arguments wherever consecutive values lie within ``tol``, so the induced
-    ties are transitive; the cluster ranks are then compared
-    lexicographically.
-    """
-    names = sorted(vectors)
-    length = len(vectors[names[0]]) if names else 0
-    if any(len(vectors[a]) != length for a in names):
-        raise ValueError("vectors must share one length")
-    if tol == 0:
-        rows = [tuple(vectors[a]) for a in names]
-    else:
-        values = np.array([vectors[a] for a in names], dtype=np.float64).reshape(len(names), length)
-        rows = list(map(tuple, cluster_ranks(values, tol).tolist()))
-    keys = dict(zip(names, rows))
-    classes: list[list[str]] = []
-    for a in sorted(names, key=keys.__getitem__):
-        if classes and keys[classes[-1][0]] == keys[a]:
-            classes[-1].append(a)
-        else:
-            classes.append([a])
-    return Ranking.from_classes(classes)
+    """Rank of every entry of a 1-d array, lowest first: the sorted values
+    split into clusters wherever two consecutive ones differ by more than
+    ``tol``, and an entry's rank is the number of splits below it."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.zeros(len(values), dtype=np.int64)
+    ranks[order[1:]] = np.cumsum(np.diff(values[order]) > tol)
+    return ranks

@@ -283,17 +283,17 @@ def dbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 
 
 def dbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    """ranking_from_vectors(dbs_vectors(framework, cfg), tol=0), read one
-    level at a time.  It stops at the first level that splits no class of
-    arguments agreeing so far and finds the classes equitable (every member
-    of a class has as many attackers in each class as every other member):
-    each later level sums the attackers' previous one, so it is constant on
-    every class and the order is decided (see _lex_ranking).  It also stops
-    after max(|A| - 1, 1) levels: by Cayley-Hamilton the walk counts of
-    length |A| and beyond are linear combinations of the shorter ones.
-    And it stops at the first level that is all zero, where the walks run
-    out (past the longest path of an acyclic framework): every later level
-    is zero too, so no later level splits a class."""
+    """The lexicographic order of dbs_vectors(framework, cfg), lowest first,
+    read one level at a time.  It stops at the first level that splits no
+    class of arguments agreeing so far and finds the classes equitable
+    (every member of a class has as many attackers in each class as every
+    other member): each later level sums the attackers' previous one, so it
+    is constant on every class and the order is decided (see _lex_ranking).
+    It also stops after max(|A| - 1, 1) levels: by Cayley-Hamilton the walk
+    counts of length |A| and beyond are linear combinations of the shorter
+    ones.  And it stops at the first level that is all zero, where the walks
+    run out (past the longest path of an acyclic framework): every later
+    level is zero too, so no later level splits a class."""
     depth = min(cfg.depth_for(framework), max(len(framework.arguments) - 1, 1))
     return _lex_ranking(framework, takewhile(any, _signed_walk_levels(framework)), depth)
 
@@ -320,16 +320,16 @@ def bbs_vectors(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 
 
 def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> Ranking:
-    """ranking_from_vectors(bbs_vectors(framework, cfg), tol=1e-9), read one
-    level at a time, each level replaced by its 1e-9 clusters
-    (orders.cluster_ranks) as ranking_from_vectors compares it.  It stops at
-    the first level that splits no class of arguments agreeing so far and
-    finds the classes equitable (every member of a class has as many
-    attackers in each class as every other member): each later burden sums
-    reciprocals of the attackers' previous ones, so it is constant on every
-    class up to rounding far below 1e-9 and the order is decided (see
-    _lex_ranking).  Where the stop never fires, every level up to
-    cfg.depth_for(framework) is read, so the cost still grows with it."""
+    """The lexicographic order of bbs_vectors(framework, cfg), lowest first,
+    each level replaced by its 1e-9 clusters (orders.cluster_ranks) and read
+    one level at a time.  It stops at the first level that splits no class
+    of arguments agreeing so far and finds the classes equitable (every
+    member of a class has as many attackers in each class as every other
+    member): each later burden sums reciprocals of the attackers' previous
+    ones, so it is constant on every class up to rounding far below 1e-9
+    and the order is decided (see _lex_ranking).  Where the stop never
+    fires, every level up to cfg.depth_for(framework) is read, so the cost
+    still grows with it."""
     levels = (cluster_ranks(level, 1e-9).tolist() for level in _burden_levels(framework))
     return _lex_ranking(framework, levels, cfg.depth_for(framework))
 
@@ -337,7 +337,8 @@ def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 def _lex_ranking(framework: ArgFramework, levels: Iterator[list], depth: int) -> Ranking:
     """Total preorder by the lexicographic order of the arguments' level
     vectors, lowest first, over the first ``depth`` levels, which are read
-    one at a time; each level lists one value per sorted(arguments).
+    one at a time; each level lists one value per sorted(arguments).  The
+    oracle over whole vectors is tests/ranking_ref.ref_ranking_from_vectors.
 
     After level k the arguments that agree on levels 1..k form a class, and
     the class ids follow the lexicographic order of those prefixes.  Reading

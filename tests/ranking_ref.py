@@ -66,20 +66,24 @@ class PairRanking:
         return sorted(classes, key=key)
 
 
+def ref_cluster_ranks(values, tol):
+    """Rank of each value, lowest first: the sorted values split wherever
+    two consecutive ones differ by more than ``tol``."""
+    ranks, rank, prev = [0] * len(values), 0, None
+    for value, i in sorted((v, i) for i, v in enumerate(values)):
+        if prev is not None and abs(value - prev) > tol:
+            rank += 1
+        ranks[i] = rank
+        prev = value
+    return ranks
+
+
 def ref_ranking_from_vectors(vectors, tol=0.0):
     """Classes best first: per-coordinate clustering within ``tol``, then a
     lexicographic comparison of the cluster ranks, lower being better."""
     names = sorted(vectors)
-    if not names:
-        return PairRanking.from_classes([])
-    keys = {a: [] for a in names}
-    for i in range(len(vectors[names[0]])):
-        rank, prev = 0, None
-        for value, a in sorted((vectors[a][i], a) for a in names):
-            if prev is not None and abs(value - prev) > tol:
-                rank += 1
-            keys[a].append(rank)
-            prev = value
+    columns = [ref_cluster_ranks(column, tol) for column in zip(*(vectors[a] for a in names))]
+    keys = {a: [ranks[j] for ranks in columns] for j, a in enumerate(names)}
     order = sorted(names, key=lambda a: (keys[a], a))
     classes, prev_key = [], None
     for a in order:

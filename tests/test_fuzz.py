@@ -193,15 +193,16 @@ def test_matrix_solves_each_ranking_once_per_pair(monkeypatch):
     assert len(solves) == len({framework for _, framework in solves}) == 3
 
 
-def test_matrix_solves_each_dbs_ranking_once_per_framework(monkeypatch):
+@pytest.mark.parametrize("sid", ["dbs", "bbs"])
+def test_matrix_solves_each_dbs_ranking_once_per_framework(monkeypatch, sid):
     # the In check ranks the whole framework under the shared memo key;
-    # pinning the dbs depth used to solve it a second time
+    # pinning the depth used to solve it a second time
     solved = []
-    ranking = semantics.dbs_ranking
-    monkeypatch.setattr(semantics, "dbs_ranking",
+    ranking = getattr(semantics, f"{sid}_ranking")
+    monkeypatch.setattr(semantics, f"{sid}_ranking",
                         lambda framework, cfg: solved.append(framework) or ranking(framework, cfg))
     path = ArgFramework.make("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    build_matrix([path], [SemanticsRef("dbs")])
+    build_matrix([path], [SemanticsRef(sid)])
     assert len(solved) == len(set(solved)) > 1
 
 

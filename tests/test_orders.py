@@ -16,7 +16,6 @@ from rankarg.orders import (
     group_geq,
     group_gt,
     ranking_from_scores,
-    ranking_from_vectors,
 )
 
 # --- oracles -------------------------------------------------------------
@@ -193,15 +192,3 @@ def test_ranking_from_scores_rejects_nan():
         ranking_from_scores({"a": float("nan")}, "higher")
     with pytest.raises(ValueError):
         ranking_from_scores({"a": 1.0}, "sideways")
-
-
-def test_ranking_from_vectors_prefix_ties():
-    vectors = {"a": (1, 5), "b": (1, 2), "c": (0, 9)}
-    r = ranking_from_vectors(vectors)
-    assert r.strict("c", "b") and r.strict("b", "a")
-
-
-def test_ranking_from_vectors_tolerance_cluster():
-    vectors = {"a": (1.0,), "b": (1.0 + 5e-10,), "c": (2.0,)}
-    r = ranking_from_vectors(vectors, tol=1e-9)
-    assert r.equivalent("a", "b") and r.strict("a", "c")

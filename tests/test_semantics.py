@@ -21,7 +21,7 @@ from rankarg.framework import (
 )
 from rankarg.catalog import bundled, chain
 from rankarg.fuzz import enumerate_all
-from rankarg.orders import Ranking, ranking_from_vectors
+from rankarg.orders import Ranking
 from rankarg.semantics import (
     SEMANTICS_IDS,
     NonConvergenceError,
@@ -44,10 +44,17 @@ from rankarg.semantics import (
     tuples_ranking,
     tuples_values,
 )
+from ranking_ref import ref_ranking_from_vectors
 
 
 def classes(ranking: Ranking):
     return [sorted(c) for c in ranking.equivalence_classes()]
+
+
+def lex_ranking(vectors, tol=0.0):
+    """The lexicographic order of ``vectors``, lowest first, from the
+    reference in tests/ranking_ref.py."""
+    return Ranking.from_classes(ref_ranking_from_vectors(vectors, tol).equivalence_classes())
 
 
 def random_framework(rng, n, density, self_attacks=True):
@@ -204,7 +211,7 @@ def test_dbs_steps_past_n_minus_1_never_split_a_tie():
     for _ in range(300):
         f = random_framework(rng, rng.randint(1, 8), rng.random() * 0.6)
         short = SolverConfig(lex_depth=max(len(f.arguments) - 1, 1))
-        assert ranking_from_vectors(dbs_vectors(f, short)) == ranking_from_vectors(dbs_vectors(f))
+        assert lex_ranking(dbs_vectors(f, short)) == lex_ranking(dbs_vectors(f))
 
 
 # --- burden numbers ----------------------------------------------------------
@@ -257,8 +264,8 @@ def test_bbs_splits_distributed_defense_where_dbs_ties():
 def assert_full_depth(f, cfg=SolverConfig()):
     """dbs_ranking and bbs_ranking stop early; the order must be the one of
     all cfg.depth_for(f) levels."""
-    assert dbs_ranking(f, cfg) == ranking_from_vectors(dbs_vectors(f, cfg), tol=0), f
-    assert bbs_ranking(f, cfg) == ranking_from_vectors(bbs_vectors(f, cfg), tol=1e-9), f
+    assert dbs_ranking(f, cfg) == lex_ranking(dbs_vectors(f, cfg), tol=0), f
+    assert bbs_ranking(f, cfg) == lex_ranking(bbs_vectors(f, cfg), tol=1e-9), f
 
 
 #: Its walk counts give three classes after levels 1 and 2 and four after
@@ -276,7 +283,7 @@ def test_lex_rankings_equal_full_depth_on_every_framework_up_to_3():
 
 
 def test_lex_rankings_read_past_a_level_that_splits_nothing():
-    two_levels = ranking_from_vectors(dbs_vectors(LATE_SPLIT, SolverConfig(lex_depth=2)))
+    two_levels = lex_ranking(dbs_vectors(LATE_SPLIT, SolverConfig(lex_depth=2)))
     assert classes(two_levels) == [["a3"], ["a0", "a1"], ["a2"]]
     assert classes(dbs_ranking(LATE_SPLIT)) == [["a3"], ["a1"], ["a0"], ["a2"]]
     assert_full_depth(LATE_SPLIT)
@@ -328,7 +335,7 @@ def test_dbs_stops_where_the_walks_run_out(monkeypatch):
     monkeypatch.setattr(semantics, "walk_count_levels", counted)
     ranking = dbs_ranking(f)
     assert 0 < len(read) <= longest + 1 < len(f.arguments) - 1
-    assert ranking == ranking_from_vectors(dbs_vectors(f), tol=0)
+    assert ranking == lex_ranking(dbs_vectors(f), tol=0)
 
 
 # --- tuples -------------------------------------------------------------------
