@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Callable, Iterable
 
+from .catalog import figure2
 from .framework import (
     ArgFramework,
     CyclicFrameworkError,
@@ -149,10 +150,10 @@ def branch_roots(framework: ArgFramework) -> dict[str, tuple[frozenset[str], fro
     return {a: (frozenset(even), frozenset(odd)) for a, (even, odd) in result.items()}
 
 
-#: Length of the defense branch that +DB!, +DB, ^AB and ^DB graft, of the
-#: attack branch that +AB grafts, and the number of renamings Abs tries.
-DEFENSE_LENGTH = 2
-ATTACK_LENGTH = 1
+#: Length of the branch each kind of graft adds: the defense branch of
+#: +DB!, +DB, ^AB and ^DB, and the attack branch of +AB.
+BRANCH_LENGTH = {"defense": 2, "attack": 1}
+#: The number of renamings Abs tries.
 ABS_TRIALS = 5
 
 
@@ -161,9 +162,7 @@ def _ranking_or_verdict(sem: SemanticsRef, framework: ArgFramework):
         return sem.ranking(framework), None
     except CyclicFrameworkError as exc:
         return None, _na(f"semantics undefined here: {exc}")
-    except NonConvergenceError as exc:
-        return None, PropertyVerdict(VerdictStatus.INCONCLUSIVE, detail=str(exc))
-    except SizeCapExceededError as exc:
+    except (NonConvergenceError, SizeCapExceededError) as exc:
         return None, PropertyVerdict(VerdictStatus.INCONCLUSIVE, detail=str(exc))
 
 
@@ -181,8 +180,8 @@ class EvalContext:
     ``rank(sem, f)`` memoises, per (SemanticsRef, ArgFramework) key, the
     (ranking, stop verdict) pair of that solve; a refused solve is stored
     too.  The constructions the checks build from ``framework`` -- the Abs
-    renamings per seed, the grafted clones per (target, kind, length) and
-    the connected components -- are built once, when first asked for.  The
+    renamings per seed, the grafted clones per (target, kind) and the
+    connected components -- are built once, when first asked for.  The
     caller creates one context per framework, hands it to every check of
     that framework, and drops it when done, so memory does not grow with
     the corpus.
@@ -191,8 +190,8 @@ class EvalContext:
     def __init__(self, framework: ArgFramework):
         self.framework = framework
         self._rankings: dict = {}
-        self._renamings: dict[int, tuple[random.Random, list]] = {}
-        self._grafts: dict[tuple[str, str, int], tuple[ArgFramework, dict[str, str]]] = {}
+        self._renamings: dict[int, list[tuple[dict[str, str], ArgFramework]]] = {}
+        self._grafts: dict[tuple[str, str], tuple[ArgFramework, dict[str, str]]] = {}
 
     def rank(self, sem: SemanticsRef, f: ArgFramework):
         key = (sem, f)
@@ -204,30 +203,29 @@ class EvalContext:
     def components(self) -> list[ArgFramework]:
         return connected_components(self.framework)
 
-    def renamings(self, seed: int):
+    def renamings(self, seed: int) -> list[tuple[dict[str, str], ArgFramework]]:
         """The ABS_TRIALS (renaming, renamed framework) pairs Abs tries under
-        ``seed``, in order; each is built when first reached."""
+        ``seed``, in order, all built on the first request."""
         if seed not in self._renamings:
-            key = int(framework_key(self.framework), 16)
-            self._renamings[seed] = random.Random(seed * 0x9E3779B1 + key), []
-        rng, built = self._renamings[seed]
-        names = sorted(self.framework.arguments)
-        for i in range(ABS_TRIALS):
-            if i == len(built):
+            rng = random.Random(seed * 0x9E3779B1 + int(framework_key(self.framework), 16))
+            names = sorted(self.framework.arguments)
+            built = []
+            for _ in range(ABS_TRIALS):
                 fresh = [f"v{k}" for k in range(len(names))]
                 rng.shuffle(fresh)
                 gamma = dict(zip(names, fresh))
                 built.append((gamma, rename(self.framework, gamma)))
-            yield built[i]
+            self._renamings[seed] = built
+        return self._renamings[seed]
 
-    def graft(self, target: str, kind: str, length: int) -> tuple[ArgFramework, dict[str, str]]:
-        """F union fresh clone union branch grafted onto the clone's image of
-        target, with the clone's renaming."""
-        key = (target, kind, length)
+    def graft(self, target: str, kind: str) -> tuple[ArgFramework, dict[str, str]]:
+        """F union fresh clone union a ``kind`` branch of BRANCH_LENGTH[kind]
+        grafted onto the clone's image of target, with the clone's renaming."""
+        key = (target, kind)
         if key not in self._grafts:
             clone, gamma = clone_fresh(self.framework)
             merged = disjoint_union(self.framework, clone)
-            self._grafts[key] = graft_branch(merged, gamma[target], kind, length), gamma
+            self._grafts[key] = graft_branch(merged, gamma[target], kind, BRANCH_LENGTH[kind]), gamma
         return self._grafts[key]
 
 
@@ -247,10 +245,7 @@ def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
         raise ValueError("the evaluation context belongs to another framework")
     if not framework.arguments:
         return _na("empty framework")
-    checker = _CHECKERS[prop]
-    if isinstance(checker, PairRule):
-        return _check_pairs(checker, framework, partial(context.rank, sem))
-    return checker(context, sem, seed)
+    return _CHECKERS[prop](context, sem, seed)
 
 
 @dataclass(frozen=True)
@@ -270,32 +265,80 @@ class PairRule:
     na: str
     note: Callable[[ArgFramework, Ranking, str, str], str]
 
+    def __call__(self, context: EvalContext, sem: SemanticsRef, _seed: int) -> PropertyVerdict:
+        """The first premise pair the ranking refuses is the witness.
 
-def _check_pairs(rule, framework, rank):
-    """The first premise pair the ranking refuses is the witness.
+        A structural premise is evaluated before the solve, so a premise that
+        never fires is NotApplicable even where the semantics cannot rank.
+        """
+        framework = context.framework
+        ranking = None
+        if self.reads_ranking:
+            ranking, stop = context.rank(sem, framework)
+            if stop:
+                return stop
+        pairs = self.premise(framework, ranking)
+        if isinstance(pairs, str):
+            return _na(pairs)
+        first = next(pairs, None)
+        if first is None:
+            return _na(self.na)
+        if ranking is None:
+            ranking, stop = context.rank(sem, framework)
+            if stop:
+                return stop
+        for a, b in chain([first], pairs):
+            if not self.relation(ranking, a, b):
+                return _violated(framework, (a, b), self.note(framework, ranking, a, b))
+        return _holds()
 
-    A structural premise is evaluated before the solve, so a premise that
-    never fires is NotApplicable even where the semantics cannot rank.
+
+@dataclass(frozen=True)
+class GraftRule:
+    """A branch-change property: F plus a fresh copy of F, with a ``kind``
+    branch grafted onto the copy, must rank one side strictly above the other.
+
+    ``instances(framework)`` yields the (compared argument a, graft target b)
+    pairs in the order they are checked.  The copy of a must win when
+    ``copy_wins`` is set, and a itself otherwise.  ``na`` is the reason
+    given when no instance is yielded, and ``note``, formatted with a and b,
+    opens the explanation of the first refused demand.
     """
-    ranking = None
-    if rule.reads_ranking:
-        ranking, stop = rank(framework)
-        if stop:
-            return stop
-    pairs = rule.premise(framework, ranking)
-    if isinstance(pairs, str):
-        return _na(pairs)
-    first = next(pairs, None)
-    if first is None:
-        return _na(rule.na)
-    if ranking is None:
-        ranking, stop = rank(framework)
-        if stop:
-            return stop
-    for a, b in chain([first], pairs):
-        if not rule.relation(ranking, a, b):
-            return _violated(framework, (a, b), rule.note(framework, ranking, a, b))
-    return _holds()
+
+    instances: Callable[[ArgFramework], Iterable[tuple[str, str]]]
+    kind: str
+    copy_wins: bool
+    na: str
+    note: str
+
+    def demands(self, context: EvalContext):
+        """(F*, better, worse, a, b) per instance, in order: F* is the
+        context's graft for b, built when the instance is reached."""
+        for a, b in self.instances(context.framework):
+            star, gamma = context.graft(b, self.kind)
+            better, worse = (gamma[a], a) if self.copy_wins else (a, gamma[a])
+            yield star, better, worse, a, b
+
+    def __call__(self, context: EvalContext, sem: SemanticsRef, _seed: int) -> PropertyVerdict:
+        demands = self.demands(context)
+        first = next(demands, None)
+        if first is None:
+            return _na(self.na)
+        for star, better, worse, a, b in chain([first], demands):
+            ranking, stop = context.rank(sem, star)
+            if stop:
+                return stop
+            if not ranking.strict(better, worse):
+                return _violated(context.framework, (better, worse),
+                                 f"{self.note.format(a=a, b=b)} does not leave "
+                                 f"{better} strictly above {worse}", star)
+        return _holds()
+
+
+def _pure_roots(attack: bool):
+    """Instances (a, b) with b a pure attack (defense) root of a."""
+    return lambda f: ((a, b) for a, (defense, offense) in sorted(branch_roots(f).items())
+                      for b in sorted(offense - defense if attack else defense - offense))
 
 
 def _vp_premise(framework, _):
@@ -402,56 +445,7 @@ def _check_abs(context, sem, seed):
     return _holds()
 
 
-def _branch_added(context, a, kind, length, improved_is_clone, **_):
-    """(F*, better, worse): the graft built for argument a of the context's
-    framework, and the pair the branch-addition property demands strictly
-    of F*.  Takes the keywords of a _check_branch_addition partial whole."""
-    star, gamma = context.graft(a, kind, length)
-    return (star, gamma[a], a) if improved_is_clone else (star, a, gamma[a])
-
-
-def _check_branch_addition(context, sem, _seed, *, only_attacked, kind, length,
-                           improved_is_clone):
-    framework = context.framework
-    todo = sorted(a for a in framework.arguments
-                  if not only_attacked or framework.is_attacked(a))
-    if not todo:
-        return _na("no argument satisfies the premise")
-    for a in todo:
-        star, better, worse = _branch_added(context, a, kind, length, improved_is_clone)
-        ranking, stop = context.rank(sem, star)
-        if stop:
-            return stop
-        if not ranking.strict(better, worse):
-            return _violated(framework, (better, worse),
-                             f"grafting a {kind} branch onto the copy of {a} "
-                             f"does not leave {better} strictly above {worse}", star)
-    return _holds()
-
-
-def _check_branch_increase(context, sem, _seed, *, lengthen_attack):
-    framework = context.framework
-    roots = branch_roots(framework)
-    instances = []
-    for a in sorted(framework.arguments):
-        def_roots, att_roots = roots[a]
-        pool = (att_roots - def_roots) if lengthen_attack else (def_roots - att_roots)
-        instances.extend((a, b) for b in sorted(pool))
-    if not instances:
-        return _na("no argument has a pure attack/defense root")
-    for a, b in instances:
-        star, gamma = context.graft(b, "defense", DEFENSE_LENGTH)
-        ranking, stop = context.rank(sem, star)
-        if stop:
-            return stop
-        better, worse = (gamma[a], a) if lengthen_attack else (a, gamma[a])
-        if not ranking.strict(better, worse):
-            return _violated(framework, (better, worse),
-                             f"lengthening the branch rooted at {b} does not leave "
-                             f"{better} strictly above {worse}", star)
-    return _holds()
-
-
+#: Each property's rule, called as rule(context, sem, seed) by ``check``.
 _CHECKERS = {
     PropertyId.ABS: _check_abs,
     PropertyId.IN: _check_in,
@@ -489,17 +483,21 @@ _CHECKERS = {
         _sc_premise, False, Ranking.strict,
         "needs both self-attacking and non-self-attacking arguments",
         lambda f, r, a, b: f"{a} not strictly above self-attacker {b}"),
-    PropertyId.PLUS_DB_STRICT: partial(
-        _check_branch_addition, only_attacked=False, kind="defense", length=DEFENSE_LENGTH,
-        improved_is_clone=True),
-    PropertyId.PLUS_DB: partial(
-        _check_branch_addition, only_attacked=True, kind="defense", length=DEFENSE_LENGTH,
-        improved_is_clone=True),
-    PropertyId.INC_AB: partial(_check_branch_increase, lengthen_attack=True),
-    PropertyId.INC_DB: partial(_check_branch_increase, lengthen_attack=False),
-    PropertyId.PLUS_AB: partial(
-        _check_branch_addition, only_attacked=False, kind="attack", length=ATTACK_LENGTH,
-        improved_is_clone=False),
+    PropertyId.PLUS_DB_STRICT: GraftRule(
+        lambda f: ((a, a) for a in sorted(f.arguments)), "defense", True,
+        "no argument satisfies the premise", "grafting a defense branch onto the copy of {a}"),
+    PropertyId.PLUS_DB: GraftRule(
+        lambda f: ((a, a) for a in sorted(f.arguments) if f.is_attacked(a)), "defense", True,
+        "no argument satisfies the premise", "grafting a defense branch onto the copy of {a}"),
+    PropertyId.INC_AB: GraftRule(
+        _pure_roots(attack=True), "defense", True,
+        "no argument has a pure attack/defense root", "lengthening the branch rooted at {b}"),
+    PropertyId.INC_DB: GraftRule(
+        _pure_roots(attack=False), "defense", False,
+        "no argument has a pure attack/defense root", "lengthening the branch rooted at {b}"),
+    PropertyId.PLUS_AB: GraftRule(
+        lambda f: ((a, a) for a in sorted(f.arguments)), "attack", False,
+        "no argument satisfies the premise", "grafting an attack branch onto the copy of {a}"),
     PropertyId.TOT: PairRule(
         lambda f, _: _pairs(f.arguments), False,
         lambda r, a, b: not r.incomparable(a, b),
@@ -597,34 +595,21 @@ def _forced_pairs(prop: PropertyId, framework: ArgFramework) -> set[tuple[str, s
     return set() if isinstance(pairs, str) else set(pairs)
 
 
-def _search_cp_qp() -> tuple[ArgFramework, Demand, Demand]:
-    from .fuzz import enumerate_all
-
-    for n in (3, 4):
-        for candidate in enumerate_all(n):
-            quality = _forced_pairs(PropertyId.QP, candidate)
-            for a, b in sorted(_forced_pairs(PropertyId.CP, candidate)):
-                if (b, a) in quality:
-                    c = min(_dominators(candidate, _count_ranking(candidate), b, a))
-                    qp = Demand(PropertyId.QP, b, a,
-                                f"{c} attacks {a} and CP forces {c} above every "
-                                f"attacker of {b} (strictly fewer attackers each)")
-                    return candidate, _cp_demand(candidate, a, b), qp
-    raise AssertionError("no small count-vs-quality clash found")
-
-
 def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitness:
     """Concrete framework plus the two opposite conclusions the pair forces."""
-    from .catalog import figure2
-
     key = frozenset(pair)
     if key not in INCOMPATIBLE_PAIRS:
         known = sorted(tuple(sorted(p.value for p in s)) for s in INCOMPATIBLE_PAIRS)
         raise ValueError(f"{sorted(p.value for p in key)} is not a known clash; known: {known}")
 
     if key == frozenset({PropertyId.CP, PropertyId.QP}):
-        framework, cp, qp = _search_cp_qp()
-        return IncompatibilityWitness((PropertyId.CP, PropertyId.QP), framework, (cp, qp),
+        # the first clash among the labelled frameworks of enumeration order
+        framework = ArgFramework.make(["a0", "a1", "a2"], [("a0", "a1"), ("a1", "a1"), ("a2", "a0")])
+        qp = Demand(PropertyId.QP, "a1", "a0",
+                    "a2 attacks a0 and CP forces a2 above every attacker of a1 "
+                    "(strictly fewer attackers each)")
+        return IncompatibilityWitness((PropertyId.CP, PropertyId.QP), framework,
+                                      (_cp_demand(framework, "a0", "a1"), qp),
                                       note="count precedence and derived quality dominance pull apart")
 
     if key == frozenset({PropertyId.CP, PropertyId.AVSFD}):
@@ -637,17 +622,14 @@ def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitnes
 
     if key == frozenset({PropertyId.CP, PropertyId.PLUS_DB}):
         base = ArgFramework.make("ax", [("x", "a")])
-        star, better, worse = _branch_added(EvalContext(base), "a",
-                                        **_CHECKERS[PropertyId.PLUS_DB].keywords)
+        star, better, worse, *_ = next(_CHECKERS[PropertyId.PLUS_DB].demands(EvalContext(base)))
         cp = _cp_demand(star, worse, better)
         db = Demand(PropertyId.PLUS_DB, better, worse,
                     "the grafted defense branch must strictly improve the attacked copy")
-        return IncompatibilityWitness((PropertyId.CP, PropertyId.PLUS_DB), star, (cp, db),
-                                      base=base)
+        return IncompatibilityWitness((PropertyId.CP, PropertyId.PLUS_DB), star, (cp, db), base=base)
 
     base = ArgFramework.make("a")
-    star, better, worse = _branch_added(EvalContext(base), "a",
-                                        **_CHECKERS[PropertyId.PLUS_DB_STRICT].keywords)
+    star, better, worse, *_ = next(_CHECKERS[PropertyId.PLUS_DB_STRICT].demands(EvalContext(base)))
     vp = Demand(PropertyId.VP, worse, better,
                 f"{worse} is unattacked and {better} is attacked by the grafted branch")
     db = Demand(PropertyId.PLUS_DB_STRICT, better, worse,
@@ -659,19 +641,12 @@ def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitnes
 def _demand_holds(witness: IncompatibilityWitness, demand: Demand) -> bool:
     """Whether the premise of ``demand.prop``, as the checker reads it, puts
     its winner strictly above its loser in the witness framework."""
-    checker = _CHECKERS[demand.prop]
-    pair = (demand.winner, demand.loser)
-    if isinstance(checker, PairRule):
-        return pair in _forced_pairs(demand.prop, witness.framework)
-    if not (isinstance(checker, partial) and checker.func is _check_branch_addition):
-        return False
-    base, rule = witness.base, checker.keywords
-    target = demand.loser if rule["improved_is_clone"] else demand.winner
-    if base is None or target not in base.arguments or (
-            rule["only_attacked"] and not base.is_attacked(target)):
-        return False
-    star, better, worse = _branch_added(EvalContext(base), target, **rule)
-    return star == witness.framework and (better, worse) == pair
+    rule = _CHECKERS[demand.prop]
+    if isinstance(rule, PairRule):
+        return (demand.winner, demand.loser) in _forced_pairs(demand.prop, witness.framework)
+    wanted = (witness.framework, demand.winner, demand.loser)
+    return (isinstance(rule, GraftRule) and witness.base is not None
+            and any(d[:3] == wanted for d in rule.demands(EvalContext(witness.base))))
 
 
 def replay_incompatibility(witness: IncompatibilityWitness) -> bool:

@@ -32,6 +32,11 @@ class CyclicFrameworkError(FrameworkError):
     """An acyclic-only operation was handed a graph with a directed cycle."""
 
 
+class SizeCapExceededError(ValueError):
+    """A computation refused a framework beyond its size or memory budget: the
+    game semantics' argument cap or game budget, or the branch-profile budget."""
+
+
 class ApxError(ValueError):
     """Malformed apx input."""
 
@@ -241,8 +246,15 @@ class BranchProfile:
     attack_lengths: tuple[int, ...]
 
 
+#: Most length entries branch_profiles may expand, over all arguments (about
+#: 155 MB); the walk counts of a layered graph double with every layer.
+BRANCH_PROFILE_BUDGET = 2**24
+
+
 def branch_profiles(framework: ArgFramework) -> dict[str, BranchProfile]:
-    """Branch profiles for every argument at once.  Raises on cyclic input."""
+    """Branch profiles for every argument at once.  Raises on cyclic input,
+    and SizeCapExceededError when the profiles would hold more than
+    BRANCH_PROFILE_BUDGET entries."""
     if has_cycle(framework):
         raise CyclicFrameworkError("branch profiles need an acyclic framework")
     args = framework.arguments
@@ -259,6 +271,10 @@ def branch_profiles(framework: ArgFramework) -> dict[str, BranchProfile]:
             break
         for a, n in layer.items():
             ways[a][length] = n
+    entries = sum(sum(w.values()) for w in ways.values())
+    if entries > BRANCH_PROFILE_BUDGET:
+        raise SizeCapExceededError(
+            f"branch profiles need {entries:,} entries, over the budget of {BRANCH_PROFILE_BUDGET:,}")
     out = {}
     for a in args:
         defense: list[int] = []

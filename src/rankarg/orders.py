@@ -176,25 +176,42 @@ class Ranking:
 
 def group_geq(s1: Iterable[str], s2: Iterable[str], ranking: Ranking) -> bool:
     """True iff some injective f: s2 -> s1 has f(a) at least as good as a:
-    an augmenting-path search for a matching that covers s2."""
+    an augmenting-path search for a matching that covers s2.
+
+    Each argument of s2 takes a free candidate when it has one, and only
+    otherwise searches depth first for a path that displaces others.  The
+    search runs on an explicit stack, since a path may be as long as s2."""
     left = sorted(set(s2))
     right = sorted(set(s1))
     if len(left) > len(right):
         return False
     edge = {a: [b for b in right if ranking.geq(b, a)] for a in left}
     match_right: dict[str, str] = {}
-
-    def augment(node: str, seen: set[str]) -> bool:
-        for cand in edge[node]:
-            if cand not in seen:
-                seen.add(cand)
-                taken = match_right.get(cand)
-                if taken is None or augment(taken, seen):
-                    match_right[cand] = node
-                    return True
-        return False
-
-    return all(augment(node, set()) for node in left)
+    for root in left:
+        free = next((b for b in edge[root] if b not in match_right), None)
+        if free is not None:
+            match_right[free] = root
+            continue
+        # a frame: an argument, its unread candidates, and the candidate it
+        # holds that the frame before it wants (None for the root)
+        stack, seen = [(root, iter(edge[root]), None)], set()
+        while stack:
+            node, cands, _ = stack[-1]
+            cand = next((b for b in cands if b not in seen), None)
+            if cand is None:
+                stack.pop()
+                continue
+            seen.add(cand)
+            taken = match_right.get(cand)
+            if taken is None:
+                match_right[cand] = node
+                for (owner, _, _), (_, _, slot) in zip(stack, stack[1:]):
+                    match_right[slot] = owner
+                break
+            stack.append((taken, iter(edge[taken]), cand))
+        else:
+            return False
+    return True
 
 
 def group_gt(s1: Iterable[str], s2: Iterable[str], ranking: Ranking) -> bool:

@@ -16,7 +16,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .framework import ArgFramework, BranchProfile, branch_profiles, walk_count_levels
+from .framework import (ArgFramework, BranchProfile, SizeCapExceededError, branch_profiles,
+                        walk_count_levels)
 from .game import GameSolution, game_value, pure_saddle, saddle_solution
 from .orders import Ranking, cluster_ranks, ranking_from_scores
 
@@ -33,11 +34,6 @@ SCORE_TIE_TOL = {"cat": 1e-9, "saf": 1e-9, "mt": MT_TIE_TOL}
 
 class NonConvergenceError(RuntimeError):
     """A fixed-point solve used up max_iter steps with its residual above tol."""
-
-
-class SizeCapExceededError(ValueError):
-    """Game-based scoring refused a framework beyond the configured argument
-    cap or the memory budget of its game."""
 
 
 #: Per SolverConfig field: accepted types (never bool), value test, rule.
@@ -614,33 +610,28 @@ class SemanticsRef:
         if self.sid not in SEMANTICS_IDS:
             raise ValueError(f"unknown semantics {self.sid!r}; pick one of {SEMANTICS_IDS}")
 
-    def scores(self, framework: ArgFramework) -> dict[str, float] | None:
-        if self.sid == "cat":
-            return categoriser_scores(framework, self.cfg)
-        if self.sid == "saf":
-            return saf_scores(framework, self.cfg)
-        if self.sid == "mt":
-            return mt_scores(framework, self.cfg)
-        return None
-
     def scored_ranking(self, framework: ArgFramework) -> tuple[Ranking, dict[str, float] | None]:
         """The ranking together with the scores it comes from (None for the
-        semantics without scores), from one solve."""
-        scores = self.scores(framework)
-        if scores is None:
-            return self.ranking(framework), None
+        semantics without scores), from one solve.  The one place that
+        dispatches on the semantics id."""
+        if self.sid == "cat":
+            scores = categoriser_scores(framework, self.cfg)
+        elif self.sid == "saf":
+            scores = saf_scores(framework, self.cfg)
+        elif self.sid == "mt":
+            scores = mt_scores(framework, self.cfg)
+        elif self.sid == "dbs":
+            return dbs_ranking(framework, self.cfg), None
+        elif self.sid == "bbs":
+            return bbs_ranking(framework, self.cfg), None
+        elif self.sid == "tuples":
+            return tuples_ranking(framework), None
+        else:
+            return grounded_ranking(framework), None
         return ranking_from_scores(scores, "higher", tol=SCORE_TIE_TOL[self.sid]), scores
 
     def ranking(self, framework: ArgFramework) -> Ranking:
-        if self.sid in SCORE_TIE_TOL:
-            return self.scored_ranking(framework)[0]
-        if self.sid == "dbs":
-            return dbs_ranking(framework, self.cfg)
-        if self.sid == "bbs":
-            return bbs_ranking(framework, self.cfg)
-        if self.sid == "tuples":
-            return tuples_ranking(framework)
-        return grounded_ranking(framework)
+        return self.scored_ranking(framework)[0]
 
     def pinned_to(self, framework: ArgFramework) -> "SemanticsRef":
         """This semantics with the truncation depth frozen at the one for

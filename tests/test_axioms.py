@@ -2,18 +2,26 @@
 examples, change-property constructions, and the incompatibility witnesses."""
 
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
 from rankarg.axioms import (
+    _CHECKERS,
     DEPENDENCY_RULES,
     EXTENDED_DEPENDENCY_RULES,
     INCOMPATIBLE_PAIRS,
     PROPERTY_ORDER,
+    Demand,
+    EvalContext,
+    IncompatibilityWitness,
     PropertyId,
     PropertyVerdict,
     VerdictStatus,
+    _count_ranking,
     _demand_holds,
+    _dominators,
+    _forced_pairs,
     audit_dependencies,
     branch_roots,
     check,
@@ -25,6 +33,7 @@ from rankarg.axioms import (
 )
 from rankarg.catalog import bundled, figure2
 from rankarg.framework import ArgFramework
+from rankarg.fuzz import enumerate_all
 from rankarg.semantics import SemanticsRef, SolverConfig
 
 CAT = SemanticsRef("cat")
@@ -204,6 +213,12 @@ def test_mt_distributed_defense_seed_violates():
     assert check(PropertyId.DDP, f, MT).status is VerdictStatus.VIOLATED
 
 
+def test_plus_ab_note_names_an_attack_branch():
+    verdict = check(PropertyId.PLUS_AB, ArgFramework.make("a", [("a", "a")]), MT)
+    assert verdict.detail == ("grafting an attack branch onto the copy of a "
+                              "does not leave a strictly above a_c")
+
+
 def test_mt_plus_ab_fails_only_at_the_zero_floor():
     # self-attacker sits at game value 0 before and after the extra branch
     f = ArgFramework.make("a", [("a", "a")])
@@ -318,6 +333,42 @@ def test_replay_reads_the_qp_premise():
     assert not witness.framework.is_attacked(qp.winner)
     assert not _demand_holds(witness, qp)
     assert _demand_holds(witness, db)
+
+
+@pytest.mark.parametrize("prop", [PropertyId.INC_AB, PropertyId.INC_DB])
+def test_replay_reads_the_branch_increase_rules(prop):
+    # on a -> b -> c, a is a pure attack root of b and a pure defense root
+    # of a and c
+    base = ArgFramework.make("abc", [("a", "b"), ("b", "c")])
+    demands = list(_CHECKERS[prop].demands(EvalContext(base)))
+    assert demands
+    for star, better, worse, *_ in demands:
+        demand = Demand(prop, better, worse, "the lengthened branch decides the pair")
+        witness = IncompatibilityWitness((prop, prop), star, (demand, demand), base=base)
+        assert _demand_holds(witness, demand)
+        assert not _demand_holds(witness, replace(demand, winner=worse, loser=better))
+
+
+def _first_cp_qp_clash(frameworks):
+    """Brute-force oracle: the first framework, and its CP pair (a, b) in
+    sorted order, on which QP demands b over a under the ranking CP forces."""
+    for candidate in frameworks:
+        quality = _forced_pairs(PropertyId.QP, candidate)
+        for a, b in sorted(_forced_pairs(PropertyId.CP, candidate)):
+            if (b, a) in quality:
+                return candidate, (a, b)
+    return None
+
+
+def test_cp_qp_clash_is_the_first_found_by_enumeration():
+    assert _first_cp_qp_clash(chain(enumerate_all(1), enumerate_all(2))) is None
+    framework, (a, b) = _first_cp_qp_clash(enumerate_all(3))
+    witness = incompatibility_witness({PropertyId.CP, PropertyId.QP})
+    assert witness.framework == framework
+    cp, qp = witness.demands
+    assert (cp.winner, cp.loser) == (a, b) and (qp.winner, qp.loser) == (b, a)
+    dominator = min(_dominators(framework, _count_ranking(framework), b, a))
+    assert qp.because.startswith(f"{dominator} attacks {a} ")
 
 
 def test_cp_avsfd_clash_is_figure2():

@@ -165,6 +165,18 @@ def test_check_inconclusive_exits_3(fig2_path, capsys):
     assert main(["check", fig2_path, "VP", "mt", "--mt-cap", "4"]) == 3
 
 
+def test_exponential_branch_profiles_exit_3(tmp_path, capsys, layered):
+    # 30 layers: the branch profiles would need about 2^31 entries
+    path = tmp_path / "layered60.apx"
+    path.write_text(serialize_apx(layered(30)))
+    assert main(["rank", str(path), "tuples"]) == 3
+    assert "branch profiles need" in capsys.readouterr().err
+    assert main(["check", str(path), "AvsFD", "cat"]) == 3
+    assert "over the budget" in capsys.readouterr().err
+    assert main(["check", str(path), "Tot", "tuples"]) == 3
+    assert "Inconclusive" in capsys.readouterr().out
+
+
 def test_check_unknown_property_exits_2(ex1_path):
     assert main(["check", ex1_path, "XYZ", "cat"]) == 2
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankarg import framework as framework_module
 from rankarg.framework import (
     ApxError,
     ArgFramework,
     CyclicFrameworkError,
     FrameworkError,
+    SizeCapExceededError,
     UnknownArgumentError,
     branch_profiles,
     clone_fresh,
@@ -279,6 +281,17 @@ def test_branch_profile_rejects_cycles(cycle2):
         branch_profiles(cycle2)
     with pytest.raises(CyclicFrameworkError):
         branch_profile(ArgFramework.make("a", [("a", "a")]), "a")
+
+
+def test_branch_profile_budget_counts_every_entry(layered, monkeypatch):
+    # 2 roots with one entry each, then 2 arguments per layer with 2, 4 and
+    # 8 walks: 30 entries
+    f = layered(4)
+    monkeypatch.setattr(framework_module, "BRANCH_PROFILE_BUDGET", 30)
+    assert branch_profiles(f)["l3a"].attack_lengths == (3,) * 8
+    monkeypatch.setattr(framework_module, "BRANCH_PROFILE_BUDGET", 29)
+    with pytest.raises(SizeCapExceededError, match="30 entries, over the budget of 29"):
+        branch_profiles(f)
 
 
 @settings(max_examples=60, deadline=None)

@@ -144,6 +144,44 @@ def test_group_comparison_brute_force_thousand():
     assert mismatches == 0
 
 
+def test_group_geq_moves_every_argument_on_the_path():
+    # p takes r first and is moved to s for q; t then also needs r, which
+    # only a matching that recorded q on r refuses
+    r = Ranking.from_classes([["r", "q", "t"], ["s", "v"], ["p"]])
+    assert not group_geq(["r", "s", "v"], ["p", "q", "t"], r)
+    assert group_geq_oracle(["r", "s", "v"], ["p", "q", "t"], r) is False
+
+
+def test_group_comparison_of_wide_flat_sets():
+    # a recursive augmenting-path search displaces one argument per level
+    # here, 1,100 deep, past the interpreter's recursion limit
+    s1 = [f"x{i}" for i in range(1100)]
+    s2 = [f"y{i}" for i in range(1100)]
+    flat = Ranking.from_classes([s1 + s2])
+    assert group_geq(s1, s2, flat)
+    assert not group_gt(s1, s2, flat)
+
+
+@pytest.mark.parametrize("n", [4, 120])
+def test_group_geq_follows_long_augmenting_paths(n):
+    # class i holds r_i and l_i, so l_i may map to r_0..r_i; the l_i are
+    # matched from the worst down, and the later ones take the best r_j
+    # first, so the better half of s2 finds every candidate held and must
+    # displace down long chains
+    classes = [[f"r{i:04d}", f"l{n - i:04d}"] for i in range(n)]
+    rights = [c[0] for c in classes]
+    lefts = [c[1] for c in classes]
+    ranking = Ranking.from_classes(classes + [["spare"]])
+    assert group_geq(rights, lefts, ranking)
+    assert not group_gt(rights, lefts, ranking)
+    # a second argument that only r_0 covers breaks Hall's condition
+    crowded = Ranking.from_classes([classes[0] + ["extra"]] + classes[1:] + [["spare"]])
+    assert not group_geq(rights + ["spare"], lefts + ["extra"], crowded)
+    if n <= 4:
+        assert group_geq_oracle(rights, lefts, ranking) is True
+        assert group_geq_oracle(rights + ["spare"], lefts + ["extra"], crowded) is False
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_group_gt_implies_geq(rng):

@@ -558,8 +558,8 @@ def test_semantics_ref_validation():
     with pytest.raises(ValueError):
         SemanticsRef("unknown")
     ref = SemanticsRef("cat")
-    assert ref.scores(ArgFramework.make("a")) == {"a": 1.0}
-    assert SemanticsRef("dbs").scores(ArgFramework.make("a")) is None
+    assert ref.scored_ranking(ArgFramework.make("a"))[1] == {"a": 1.0}
+    assert SemanticsRef("dbs").scored_ranking(ArgFramework.make("a"))[1] is None
 
 
 @pytest.mark.parametrize("field, value, error", [
