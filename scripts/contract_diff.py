@@ -2,15 +2,16 @@
 """Check the behaviour contract: the fuzz output of this checkout against a base revision.
 
     python3 scripts/contract_diff.py --base 3adeb78
-    python3 scripts/contract_diff.py --base 3adeb78 --seed 104729
+    python3 scripts/contract_diff.py --base 3adeb78 --seed 0 7
 
-The base revision is exported with ``git archive`` (bench_pairs.export) into
-a temporary directory.  ``python -m rankarg.cli fuzz --seed N --out DIR``
-then runs in that tree and in this checkout, side by side, each with its
-own ``src`` on PYTHONPATH.  The two output directories (matrix.txt,
-records.jsonl and witnesses/) are compared file by file: every path that
-differs or exists on one side only is printed, and the exit status is 1;
-it is 0 when the two are byte-identical.
+The base revision is exported once with ``git archive`` (bench_pairs.export)
+into a temporary directory.  For each seed in turn, ``python -m rankarg.cli
+fuzz --seed N --out DIR`` runs in that tree and in this checkout, side by
+side, each with its own ``src`` on PYTHONPATH.  The two output directories
+(matrix.txt, records.jsonl and witnesses/) are compared file by file: every
+path that differs or exists on one side only is printed, then one summary
+line per seed.  The exit status is 1 when any seed differs, and 0 when
+every seed's outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,30 +53,39 @@ def differences(base: Path, change: Path) -> list[str]:
     return lines
 
 
+def compare_seed(base_tree: Path, seed: int, tmp: Path) -> tuple[list[str], int]:
+    """(differing paths, files written by this checkout) of one fuzz seed."""
+    outs = {"base": tmp / f"base-out-{seed}", "change": tmp / f"change-out-{seed}"}
+    runs = {side: start_fuzz(tree, seed, outs[side])
+            for side, tree in (("base", base_tree), ("change", ROOT))}
+    errors = {side: proc.communicate()[1] for side, proc in runs.items()}
+    for side, proc in runs.items():
+        if proc.returncode:
+            raise SystemExit(f"fuzz --seed {seed} in the {side} tree exited "
+                             f"{proc.returncode}:\n{errors[side]}")
+    return differences(outs["base"], outs["change"]), len(files_under(outs["change"]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0],
+                        help="one or more fuzz seeds (default 0)")
     args = parser.parse_args(argv)
 
+    differ = False
     with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
         tmp = Path(tmp)
         export(args.base, tmp / "base")
-        outs = {"base": tmp / "base-out", "change": tmp / "change-out"}
-        runs = {side: start_fuzz(tree, args.seed, outs[side])
-                for side, tree in (("base", tmp / "base"), ("change", ROOT))}
-        errors = {side: proc.communicate()[1] for side, proc in runs.items()}
-        for side, proc in runs.items():
-            if proc.returncode:
-                raise SystemExit(f"fuzz in the {side} tree exited {proc.returncode}:\n{errors[side]}")
-        lines = differences(outs["base"], outs["change"])
-        count = len(files_under(outs["change"]))
-
-    for line in lines:
-        print(line)
-    print(f"{len(lines)} of the paths differ" if lines
-          else f"identical: {count} files, fuzz --seed {args.seed}, {args.base} vs this checkout")
-    return 1 if lines else 0
+        for seed in args.seed:
+            lines, count = compare_seed(tmp / "base", seed, tmp)
+            for line in lines:
+                print(line)
+            print(f"fuzz --seed {seed}: {len(lines)} of the paths differ" if lines
+                  else f"identical: {count} files, fuzz --seed {seed}, {args.base} vs this checkout",
+                  flush=True)
+            differ = differ or bool(lines)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

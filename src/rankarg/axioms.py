@@ -180,11 +180,11 @@ class EvalContext:
     ``rank(sem, f)`` memoises, per (SemanticsRef, ArgFramework) key, the
     (ranking, stop verdict) pair of that solve; a refused solve is stored
     too.  The constructions the checks build from ``framework`` -- the Abs
-    renamings per seed, the grafted clones per (target, kind) and the
-    connected components -- are built once, when first asked for.  The
-    caller creates one context per framework, hands it to every check of
-    that framework, and drops it when done, so memory does not grow with
-    the corpus.
+    renamings per seed, F union a fresh clone of F, the grafts on it per
+    (target, kind) and the connected components -- are built once, when
+    first asked for.  The caller creates one context per framework, hands
+    it to every check of that framework, and drops it when done, so memory
+    does not grow with the corpus.
     """
 
     def __init__(self, framework: ArgFramework):
@@ -203,6 +203,13 @@ class EvalContext:
     def components(self) -> list[ArgFramework]:
         return connected_components(self.framework)
 
+    @cached_property
+    def doubled(self) -> tuple[ArgFramework, dict[str, str]]:
+        """F union a fresh clone of F, and the clone's renaming: every graft
+        of this framework starts from it."""
+        clone, gamma = clone_fresh(self.framework)
+        return disjoint_union(self.framework, clone), gamma
+
     def renamings(self, seed: int) -> list[tuple[dict[str, str], ArgFramework]]:
         """The ABS_TRIALS (renaming, renamed framework) pairs Abs tries under
         ``seed``, in order, all built on the first request."""
@@ -219,13 +226,12 @@ class EvalContext:
         return self._renamings[seed]
 
     def graft(self, target: str, kind: str) -> tuple[ArgFramework, dict[str, str]]:
-        """F union fresh clone union a ``kind`` branch of BRANCH_LENGTH[kind]
-        grafted onto the clone's image of target, with the clone's renaming."""
+        """``doubled`` with a ``kind`` branch of BRANCH_LENGTH[kind] grafted
+        onto the clone's image of target, with the clone's renaming."""
         key = (target, kind)
         if key not in self._grafts:
-            clone, gamma = clone_fresh(self.framework)
-            merged = disjoint_union(self.framework, clone)
-            self._grafts[key] = graft_branch(merged, gamma[target], kind, BRANCH_LENGTH[kind]), gamma
+            doubled, gamma = self.doubled
+            self._grafts[key] = graft_branch(doubled, gamma[target], kind, BRANCH_LENGTH[kind]), gamma
         return self._grafts[key]
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success (check: Holds/NotApplicable; witness: confirmed), 1
 check found a violation or a witness failed to replay, 2 input/parse error
 (including a malformed witness file, a solver setting SolverConfig refuses,
-a fuzz budget FuzzBudget refuses and a non-integer RANKARG_SEED), 3 semantics error (cycle, size cap,
+a fuzz budget FuzzBudget refuses, a fuzz --out directory that cannot be
+made and a non-integer RANKARG_SEED), 3 semantics error (cycle, size cap,
 non-convergence) or Inconclusive verdict.
 """
 
@@ -173,18 +174,21 @@ def cmd_fuzz(args) -> int:
     kwargs = {"semantics": semantics}
     if properties:
         kwargs["properties"] = properties
+    if args.out:
+        out = Path(args.out)
+        witness_dir = out / "witnesses"
+        try:
+            witness_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     report = run_default_matrix(budget, **kwargs)
     text = render_matrix_text(report)
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         _atomic_write(out / "matrix.txt", text)
         records = list(matrix_records(report))
         _atomic_write(out / "records.jsonl",
                       "".join(json.dumps(r) + "\n" for r in records))
-        witness_dir = out / "witnesses"
-        witness_dir.mkdir(exist_ok=True)
         for record in records:
             if "witness_apx" not in record:
                 continue

@@ -286,7 +286,8 @@ def branch_profiles(framework: ArgFramework) -> dict[str, BranchProfile]:
 
 
 def connected_components(framework: ArgFramework) -> list[ArgFramework]:
-    """Weakly connected components, each as an induced sub-framework.
+    """Weakly connected components, each as an induced sub-framework; a
+    connected framework is its own only component, returned as it is.
 
     Deterministic order: components sorted by their smallest argument name.
     """
@@ -308,8 +309,10 @@ def connected_components(framework: ArgFramework) -> list[ArgFramework]:
                     comp.add(nxt)
                     seen.add(nxt)
                     stack.append(nxt)
-        comps.append(framework.restricted_to(comp))
-    return comps
+        comps.append(comp)
+    if len(comps) == 1:
+        return [framework]
+    return [framework.restricted_to(comp) for comp in comps]
 
 
 def disjoint_union(f: ArgFramework, g: ArgFramework) -> ArgFramework:
@@ -328,11 +331,7 @@ def clone_fresh(f: ArgFramework) -> tuple[ArgFramework, dict[str, str]]:
         mapping = {a: a + "_c" * reps for a in f.arguments}
         if not (set(mapping.values()) & f.arguments):
             break
-    clone = ArgFramework(
-        frozenset(mapping.values()),
-        frozenset((mapping[a], mapping[b]) for a, b in f.attacks),
-    )
-    return clone, mapping
+    return rename(f, mapping), mapping
 
 
 def rename(f: ArgFramework, mapping: dict[str, str]) -> ArgFramework:

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 
 class Ranking:
     """A preorder over a fixed argument set, queried pairwise.
@@ -28,26 +26,16 @@ class Ranking:
     ``equivalence_classes`` O(classes); ``incomparable_pairs`` is empty at
     once for a total preorder and O(n^2) only for a partial one.
 
-    :meth:`from_classes` builds a total preorder from its classes listed
-    best first in O(n * classes) set work, without a pair list.
-    :meth:`from_groups` takes any preorder as groups of arguments known to
-    be equivalent and the >= pairs between groups; the pair constructor is
-    its special case of one group per argument.  Both audit transitivity and
-    raise ``ValueError`` on a violation; their set work grows with the pairs
-    between groups, not between arguments.
+    The two constructors are :meth:`from_classes`, which builds a total
+    preorder from its classes listed best first in O(n * classes) set work,
+    without a pair list, and :meth:`from_groups`, which takes any preorder
+    as groups of arguments known to be equivalent and the >= pairs between
+    groups.  Both audit transitivity and raise ``ValueError`` on a
+    violation; their set work grows with the pairs between groups, not
+    between arguments.
     """
 
     __slots__ = ("arguments", "_geq", "_level", "_classes", "_total")
-
-    def __init__(self, arguments: Iterable[str], geq_pairs: Iterable[tuple[str, str]]):
-        names = sorted(set(arguments))
-        index = {a: i for i, a in enumerate(names)}
-        pairs = []
-        for a, b in geq_pairs:
-            if a not in index or b not in index:
-                raise ValueError(f"pair ({a},{b}) outside the argument set")
-            pairs.append((index[a], index[b]))
-        self._build([[a] for a in names], pairs)
 
     @classmethod
     def from_groups(cls, groups: Sequence[Sequence[str]],
@@ -57,11 +45,6 @@ class Ranking:
         good as every member of groups[h].  Groups must be disjoint and
         nonempty.  Groups whose at-least-as-good sets come out equal merge
         into one class."""
-        ranking = cls.__new__(cls)
-        ranking._build(groups, geq_pairs)
-        return ranking
-
-    def _build(self, groups: Sequence[Sequence[str]], geq_pairs: Iterable[tuple[int, int]]) -> None:
         down = [{g} for g in range(len(groups))]
         for g, h in geq_pairs:
             down[g].add(h)
@@ -89,7 +72,9 @@ class Ranking:
         geq: dict[str, frozenset[str]] = {}
         for key, group in members.items():
             geq.update(dict.fromkeys(group, frozenset(a for h in key for a in groups[h])))
-        self._store([frozenset(members[key]) for key in order], geq, total)
+        ranking = cls.__new__(cls)
+        ranking._store([frozenset(members[key]) for key in order], geq, total)
+        return ranking
 
     @classmethod
     def from_classes(cls, classes: Sequence[Iterable[str]]) -> "Ranking":
@@ -235,8 +220,8 @@ def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
     """Total preorder from a score table.
 
     ``direction`` is ``"higher"`` (bigger score is better) or ``"lower"``.
-    Ties are declared by clustering sorted scores whose consecutive gap is at
-    most ``tol``; clustering keeps the result transitive even when several
+    Ties are declared by :func:`cluster_ranks` of the scores, negated for
+    ``"higher"``; clustering keeps the result transitive even when several
     scores sit within tolerance of each other in a chain.
     """
     if direction not in ("higher", "lower"):
@@ -244,23 +229,22 @@ def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
     for a, s in scores.items():
         if s != s or s in (float("inf"), float("-inf")):
             raise ValueError(f"non-finite score for {a}: {s}")
-    best_first = sorted(scores, key=lambda a: (-scores[a] if direction == "higher" else scores[a], a))
-    classes: list[list[str]] = []
-    prev = None
-    for a in best_first:
-        if prev is not None and abs(scores[a] - prev) <= tol:
-            classes[-1].append(a)
-        else:
-            classes.append([a])
-        prev = scores[a]
+    names = sorted(scores)
+    ranks = cluster_ranks([-scores[a] if direction == "higher" else scores[a] for a in names], tol)
+    classes: list[list[str]] = [[] for _ in set(ranks)]
+    for a, rank in zip(names, ranks):
+        classes[rank].append(a)
     return Ranking.from_classes(classes)
 
 
-def cluster_ranks(values: np.ndarray, tol: float) -> np.ndarray:
-    """Rank of every entry of a 1-d array, lowest first: the sorted values
-    split into clusters wherever two consecutive ones differ by more than
-    ``tol``, and an entry's rank is the number of splits below it."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.zeros(len(values), dtype=np.int64)
-    ranks[order[1:]] = np.cumsum(np.diff(values[order]) > tol)
+def cluster_ranks(values: Sequence[float], tol: float) -> list[int]:
+    """Rank of every value, lowest first: the values, stably sorted, split
+    into clusters wherever two consecutive ones differ by more than ``tol``,
+    and a value's rank is the number of splits below it."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    rank = 0
+    for prev, i in zip(order, order[1:]):
+        rank += values[i] - values[prev] > tol
+        ranks[i] = rank
     return ranks

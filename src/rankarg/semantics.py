@@ -326,7 +326,7 @@ def bbs_ranking(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     and the order is decided (see _lex_ranking).  Where the stop never
     fires, every level up to cfg.depth_for(framework) is read, so the cost
     still grows with it."""
-    levels = (cluster_ranks(level, 1e-9).tolist() for level in _burden_levels(framework))
+    levels = (cluster_ranks(level.tolist(), 1e-9) for level in _burden_levels(framework))
     return _lex_ranking(framework, levels, cfg.depth_for(framework))
 
 
@@ -538,6 +538,8 @@ def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONF
         raise SizeCapExceededError(
             f"{len(framework.arguments)} arguments exceed the game cap {cfg.mt_cap}"
         )
+    if not framework.arguments:
+        return {}, {}
     rows, table = _mt_game_table(framework)
     row_min = table.min(axis=1)
     scores, solutions = {}, {}

@@ -2,9 +2,20 @@
 rankings and the array kernels of rankarg: the pair-built preorder, the
 per-coordinate clustering of step vectors, and the dictionary recurrences
 for burden vectors and walk counts.  They cost O(n^2) Python work per
-ranking and O(n * depth) attacker lookups per vector table."""
+ranking and O(n * depth) attacker lookups per vector table.  Also the
+pair constructor the tests use to build a Ranking from its >= pairs."""
 
 from rankarg.framework import ArgFramework
+from rankarg.orders import Ranking
+
+
+def pair_ranking(arguments, geq_pairs):
+    """The Ranking whose >= pairs, beyond reflexivity, are ``geq_pairs``:
+    Ranking.from_groups with one group per argument, so it is audited for
+    transitivity like any other preorder."""
+    names = sorted(set(arguments))
+    index = {a: i for i, a in enumerate(names)}
+    return Ranking.from_groups([[a] for a in names], [(index[a], index[b]) for a, b in geq_pairs])
 
 
 class PairRanking:

@@ -54,6 +54,19 @@ def test_rank_missing_file_exits_2(tmp_path):
     assert main(["rank", str(tmp_path / "nope.apx"), "cat"]) == 2
 
 
+def test_argument_free_framework_ranks_empty_everywhere(tmp_path, capsys):
+    empty = tmp_path / "empty.apx"
+    empty.write_text("% no arguments\n")
+    for sid in semantics.SEMANTICS_IDS:
+        assert main(["rank", str(empty), sid]) == 0, sid
+        assert capsys.readouterr().out == "\n"
+        assert main(["rank", str(empty), sid, "--format", "json"]) == 0, sid
+        assert json.loads(capsys.readouterr().out)["classes"] == []
+    assert main(["survey", str(empty)]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        [sid] for sid in semantics.SEMANTICS_IDS]
+
+
 def test_rank_json_round_trip(ex1_path, capsys, monkeypatch):
     solves = []
     solve = semantics.categoriser_scores
@@ -114,6 +127,15 @@ def test_fuzz_rejects_negative_trials(tmp_path, capsys, flag, value):
     assert captured.out == ""
     assert "trials must be an integer >= 0" in captured.err
     assert not out_dir.exists()
+
+
+def test_fuzz_out_onto_a_file_exits_2_before_the_run(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["fuzz", "--trials", "3", "--mt-trials", "0", "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {taken}" in captured.err
 
 
 def test_malformed_env_seed_exits_2(ex1_path, capsys, monkeypatch):

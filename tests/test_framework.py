@@ -326,6 +326,13 @@ def test_components_union_sizes(ex1):
     assert sizes == [2, 5]
 
 
+def test_components_are_the_framework_itself_or_its_induced_parts(ex1):
+    assert connected_components(ex1)[0] is ex1
+    merged = disjoint_union(ex1, ArgFramework.make(["p", "q"], [("p", "q")]))
+    parts = connected_components(merged)
+    assert parts == [merged.restricted_to(ex1.arguments), merged.restricted_to("pq")]
+
+
 @settings(max_examples=60, deadline=None)
 @given(frameworks)
 def test_components_match_union_find(f):

@@ -10,6 +10,7 @@ import pytest
 from rankarg import axioms, fuzz, semantics
 from rankarg.axioms import (
     ABS_TRIALS,
+    BRANCH_LENGTH,
     EXTENDED_DEPENDENCY_RULES,
     EvalContext,
     PropertyId,
@@ -225,8 +226,9 @@ def test_matrix_verdicts_equal_standalone_checks(monkeypatch):
 
 
 def test_matrix_builds_each_construction_once_per_framework(monkeypatch):
-    calls = {"rename": [], "clone_fresh": [], "graft_branch": [], "requested": []}
-    for name in ("rename", "clone_fresh", "graft_branch"):
+    calls = {"rename": [], "clone_fresh": [], "disjoint_union": [], "graft_branch": [],
+             "requested": []}
+    for name in ("rename", "clone_fresh", "disjoint_union", "graft_branch"):
         original = getattr(axioms, name)
 
         def counted(*args, _name=name, _original=original):
@@ -237,7 +239,7 @@ def test_matrix_builds_each_construction_once_per_framework(monkeypatch):
     graft = EvalContext.graft
 
     def requested(context, *key):
-        calls["requested"].append(key)
+        calls["requested"].append((context.framework, *key))
         return graft(context, *key)
 
     monkeypatch.setattr(EvalContext, "graft", requested)
@@ -245,11 +247,24 @@ def test_matrix_builds_each_construction_once_per_framework(monkeypatch):
     refs = [SemanticsRef(sid) for sid in ("cat", "saf", "dbs", "bbs", "grounded")]
     build_matrix(corpus, refs, seed=1, shrink=False)
     assert len(calls["rename"]) == ABS_TRIALS * len(corpus)
-    # one clone and one graft per distinct (framework, target, kind, length),
-    # though every semantics and several properties ask for each
+    # one clone and one union per framework, and one graft per distinct
+    # (framework, target, kind), though every semantics and several
+    # properties ask for each
+    assert len(calls["clone_fresh"]) == len(calls["disjoint_union"]) == len(corpus)
     grafts = calls["graft_branch"]
-    assert len(calls["clone_fresh"]) == len(grafts) == len(set(grafts)) > 0
+    assert len(grafts) == len(set(grafts)) == len(set(calls["requested"])) > len(corpus)
     assert len(calls["requested"]) > 5 * len(grafts)
+
+
+def test_grafts_of_one_context_share_one_doubled_copy():
+    context = EvalContext(example1())
+    doubled, gamma = context.doubled
+    for target in sorted(example1().arguments):
+        for kind in ("defense", "attack"):
+            star, star_gamma = context.graft(target, kind)
+            assert star_gamma is gamma
+            assert star.attacks > doubled.attacks
+            assert len(star.arguments - doubled.arguments) == BRANCH_LENGTH[kind]
 
 
 def test_context_refuses_another_framework():

@@ -17,6 +17,7 @@ from rankarg.orders import (
     group_gt,
     ranking_from_scores,
 )
+from ranking_ref import pair_ranking
 
 # --- oracles -------------------------------------------------------------
 
@@ -58,7 +59,7 @@ def random_preorder(rng, names):
     one, two = total(), total()
     pairs = [(a, b) for a in names for b in names
              if one[a] <= one[b] and two[a] <= two[b]]
-    return Ranking(names, pairs)
+    return pair_ranking(names, pairs)
 
 
 # --- Ranking -------------------------------------------------------------
@@ -75,11 +76,11 @@ def test_ranking_relations():
 
 def test_ranking_rejects_intransitive():
     with pytest.raises(ValueError):
-        Ranking("abc", [("a", "b"), ("b", "c")])  # missing (a, c)
+        pair_ranking("abc", [("a", "b"), ("b", "c")])  # missing (a, c)
 
 
 def test_partial_ranking_classes_topological():
-    r = Ranking("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")])
+    r = pair_ranking("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")])
     classes = [min(c) for c in r.equivalence_classes()]
     assert classes[0] == "a" and classes[-1] == "d"
     assert r.incomparable("b", "c")

@@ -9,7 +9,6 @@ vectors must be bit-identical and discussion-count vectors identical.
 
 import random
 
-import numpy as np
 import pytest
 
 from rankarg.framework import has_cycle, walk_counts
@@ -32,6 +31,7 @@ from rankarg.semantics import (
 )
 from ranking_ref import (
     PairRanking,
+    pair_ranking,
     ref_bbs_vectors,
     ref_cluster_ranks,
     ref_dbs_vectors,
@@ -56,7 +56,7 @@ def assert_same(ours, ref):
     assert ours.equivalence_classes() == ref.equivalence_classes()
     assert ours.incomparable_pairs() == ref.incomparable_pairs()
     assert ours.is_total() == ref.is_total()
-    rebuilt = Ranking(args, pairs_of(ref))
+    rebuilt = pair_ranking(args, pairs_of(ref))
     assert ours == rebuilt and rebuilt == ours
 
 
@@ -89,10 +89,10 @@ def test_random_preorders_match_the_pair_reference():
     for trial in range(400):
         names = [f"x{i}" for i in range(rng.randint(0, 14))]
         pairs = random_preorder_pairs(rng, names, rng.choice((1, 2, 3)))
-        ours, ref = Ranking(names, pairs), PairRanking(names, pairs)
+        ours, ref = pair_ranking(names, pairs), PairRanking(names, pairs)
         assert_same(ours, ref)
         other = random_preorder_pairs(rng, names, 2)
-        assert (ours == Ranking(names, other)) == (ref._above == PairRanking(names, other)._above)
+        assert (ours == pair_ranking(names, other)) == (ref._above == PairRanking(names, other)._above)
 
 
 def test_random_class_lists_match_the_pair_reference():
@@ -105,7 +105,7 @@ def test_random_class_lists_match_the_pair_reference():
 
 def test_total_and_partial_rankings_with_equal_classes_differ():
     chain = Ranking.from_classes([["a"], ["b"]])
-    apart = Ranking("ab", [])
+    apart = pair_ranking("ab", [])
     assert chain.equivalence_classes() == apart.equivalence_classes()
     assert chain != apart and apart != chain
     assert apart.incomparable_pairs() == [("a", "b")]
@@ -150,7 +150,10 @@ def test_random_vectors_match_per_coordinate_clustering():
             tols = (0, tol)
         for column in zip(*(vectors[a] for a in names)):
             for t in tols:
-                assert cluster_ranks(np.array(column), t).tolist() == ref_cluster_ranks(column, t)
+                assert cluster_ranks(column, t) == ref_cluster_ranks(column, t)
+    # a tie chain: both gaps lie within the tolerance, its ends 1.2e-9 apart
+    chain = [1.2e-9, 0.0, 0.6e-9]
+    assert cluster_ranks(chain, tol) == ref_cluster_ranks(chain, tol) == [0, 0, 0]
 
 
 def seeded_frameworks():

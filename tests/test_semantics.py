@@ -44,7 +44,7 @@ from rankarg.semantics import (
     tuples_ranking,
     tuples_values,
 )
-from ranking_ref import ref_ranking_from_vectors
+from ranking_ref import pair_ranking, ref_ranking_from_vectors
 
 
 def classes(ranking: Ranking):
@@ -547,9 +547,9 @@ def test_every_semantics_returns_valid_preorder(rng, n, density):
             assert sid == "tuples"
             continue
         assert set(ranking.arguments) == f.arguments
-        Ranking(ranking.arguments,
-                [(a, b) for a in ranking.arguments for b in ranking.arguments
-                 if ranking.geq(a, b)])  # re-audit reflexivity + transitivity
+        pair_ranking(ranking.arguments,
+                     [(a, b) for a in ranking.arguments for b in ranking.arguments
+                      if ranking.geq(a, b)])  # re-audit reflexivity + transitivity
         if sid != "tuples":
             assert ranking.is_total()
 
