@@ -2,16 +2,17 @@
 """Check the behaviour contract: the fuzz output of this checkout against a base revision.
 
     python3 scripts/contract_diff.py --base 3adeb78
-    python3 scripts/contract_diff.py --base 3adeb78 --seed 0 7
+    python3 scripts/contract_diff.py --base 3adeb78 --seed 3
 
 The base revision is exported once with ``git archive`` (bench_pairs.export)
-into a temporary directory.  For each seed in turn, ``python -m rankarg.cli
-fuzz --seed N --out DIR`` runs in that tree and in this checkout, side by
-side, each with its own ``src`` on PYTHONPATH.  The two output directories
-(matrix.txt, records.jsonl and witnesses/) are compared file by file: every
-path that differs or exists on one side only is printed, then one summary
-line per seed.  The exit status is 1 when any seed differs, and 0 when
-every seed's outputs are byte-identical.
+into a temporary directory.  For each seed in turn (0 and 7 without
+``--seed``), ``python -m rankarg.cli fuzz --seed N --out DIR`` runs in that
+tree and in this checkout, side by side, each with its own ``src`` on
+PYTHONPATH.  The two output directories (matrix.txt, records.jsonl and
+witnesses/) are compared file by file: every path that differs or exists
+on one side only is printed, then one summary line per seed.  The exit
+status is 1 when any seed differs, and 0 when every seed's outputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def compare_seed(base_tree: Path, seed: int, tmp: Path) -> tuple[list[str], int]
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--seed", type=int, nargs="+", default=[0],
-                        help="one or more fuzz seeds (default 0)")
+    parser.add_argument("--seed", type=int, nargs="+", default=[0, 7],
+                        help="one or more fuzz seeds (default 0 7)")
     args = parser.parse_args(argv)
 
     differ = False

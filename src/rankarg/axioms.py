@@ -150,9 +150,6 @@ def branch_roots(framework: ArgFramework) -> dict[str, tuple[frozenset[str], fro
     return {a: (frozenset(even), frozenset(odd)) for a, (even, odd) in result.items()}
 
 
-#: Length of the branch each kind of graft adds: the defense branch of
-#: +DB!, +DB, ^AB and ^DB, and the attack branch of +AB.
-BRANCH_LENGTH = {"defense": 2, "attack": 1}
 #: The number of renamings Abs tries.
 ABS_TRIALS = 5
 
@@ -226,12 +223,12 @@ class EvalContext:
         return self._renamings[seed]
 
     def graft(self, target: str, kind: str) -> tuple[ArgFramework, dict[str, str]]:
-        """``doubled`` with a ``kind`` branch of BRANCH_LENGTH[kind] grafted
-        onto the clone's image of target, with the clone's renaming."""
+        """``doubled`` with a ``kind`` branch (``graft_branch``) grafted onto
+        the clone's image of target, with the clone's renaming."""
         key = (target, kind)
         if key not in self._grafts:
             doubled, gamma = self.doubled
-            self._grafts[key] = graft_branch(doubled, gamma[target], kind, BRANCH_LENGTH[kind]), gamma
+            self._grafts[key] = graft_branch(doubled, gamma[target], kind), gamma
         return self._grafts[key]
 
 

@@ -169,6 +169,8 @@ def cmd_fuzz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     semantics = args.semantics.split(",") if args.semantics else list(SEMANTICS_IDS)
+    for sid in semantics:
+        lane_ref(sid, budget)  # an unknown name exits before --out is created
     properties = ([parse_property(p) for p in args.properties.split(",")]
                   if args.properties else None)
     kwargs = {"semantics": semantics}

@@ -344,21 +344,20 @@ def rename(f: ArgFramework, mapping: dict[str, str]) -> ArgFramework:
     )
 
 
-def graft_branch(f: ArgFramework, name: str, kind: str, length: int) -> ArgFramework:
-    """Attach a fresh chain x_len -> ... -> x_1 -> name.
+#: Length of the branch each kind of graft adds: the defense branch of
+#: +DB!, +DB, ^AB and ^DB, and the attack branch of +AB.
+BRANCH_LENGTH = {"defense": 2, "attack": 1}
 
-    ``kind`` is ``"defense"`` (even length >= 2) or ``"attack"`` (odd length
-    >= 1); the chain root x_len is unattacked.
+
+def graft_branch(f: ArgFramework, name: str, kind: str) -> ArgFramework:
+    """Attach a fresh chain x_len -> ... -> x_1 -> name of length
+    BRANCH_LENGTH[kind], ``kind`` being ``"defense"`` or ``"attack"``; the
+    chain root x_len is unattacked.
     """
     f._require(name)
-    if kind not in ("defense", "attack"):
+    if kind not in BRANCH_LENGTH:
         raise FrameworkError(f"kind must be 'defense' or 'attack', got {kind!r}")
-    if length < 1:
-        raise FrameworkError("branch length must be >= 1")
-    if kind == "defense" and length % 2 != 0:
-        raise FrameworkError(f"defense branch length must be even, got {length}")
-    if kind == "attack" and length % 2 != 1:
-        raise FrameworkError(f"attack branch length must be odd, got {length}")
+    length = BRANCH_LENGTH[kind]
     prefix = f"{name}_{'d' if kind == 'defense' else 'a'}"
     while any(f"{prefix}{i}" in f.arguments for i in range(1, length + 1)):
         prefix += "_"

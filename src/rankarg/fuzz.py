@@ -310,16 +310,17 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
     if each lane had run alone.  A semantics or property listed twice runs
     once, as in build_matrix.
     """
+    wanted = list(dict.fromkeys(semantics))
+    refs = {sid: lane_ref(sid, budget) for sid in wanted}  # an unknown name fails here
     corpora = default_corpora(budget)
     props = list(dict.fromkeys(properties))
-    wanted = list(dict.fromkeys(semantics))
     by_corpus: dict[str, list[str]] = {}
     for sid in wanted:
         by_corpus.setdefault(sid if sid in ("tuples", "mt") else "cheap", []).append(sid)
     cells: dict[tuple[str, PropertyId], CellReport] = {}
     lane_failures: dict[str, list[str]] = {sid: [] for sid in wanted}
     for name, sids in by_corpus.items():
-        part = build_matrix(corpora[name], [lane_ref(sid, budget) for sid in sids], props,
+        part = build_matrix(corpora[name], [refs[sid] for sid in sids], props,
                             seed=budget.seed, dependency_rules=dependency_rules)
         cells.update(part.cells)
         for failure in part.dependency_failures:
@@ -330,13 +331,12 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
                         [failure for sid in wanted for failure in lane_failures[sid]])
 
 
-def render_matrix_text(report: MatrixReport,
-                       expected: dict[tuple[str, PropertyId], bool | None] = EXPECTED_SATISFACTION
-                       ) -> str:
+def render_matrix_text(report: MatrixReport) -> str:
     """Plain-text grid: one row per property, one column per semantics.
 
     Cells show the observed mark (ok = no violation found, X = violated,
-    - = premise never applied) and flag disagreements with ``expected``.
+    - = premise never applied) and flag disagreements with
+    EXPECTED_SATISFACTION.
     """
     sids = list(report.semantics)
     width = max(len(s) for s in sids) + 2
@@ -355,7 +355,7 @@ def render_matrix_text(report: MatrixReport,
                 mark = "ok"
             else:
                 mark = "-"
-            want = expected.get((sid, prop))
+            want = EXPECTED_SATISFACTION.get((sid, prop))
             expected_mark = {True: "ok", False: "X", None: "-"}.get(want, "?")
             row.append((mark if mark == expected_mark else f"{mark}!").rjust(width))
         lines.append("".join(row))

@@ -1,5 +1,6 @@
-"""Preorders over arguments, the tolerance clustering of a score level, and
-the set-vs-set group comparison used by counter-transitivity style checks.
+"""Preorders over arguments, stored as their classes; the tolerance
+clustering of a score level; and the set-vs-set group comparison used by
+counter-transitivity style checks.
 The dbs and bbs rankings are built level by level in semantics._lex_ranking
 (oracle: tests/ranking_ref.ref_ranking_from_vectors)."""
 
@@ -15,27 +16,26 @@ class Ranking:
     relations: ``strict`` (geq one way only), ``equivalent`` (both ways),
     ``incomparable`` (neither).
 
-    A ranking is stored once, at construction, as its equivalence classes in
-    topological order (better classes first; among classes neither of which
-    is strictly above the other, fewer classes strictly above first, then
-    the smallest name), the class index of every argument, whether the
-    preorder is total, and each argument's at-least-as-good set (the
-    arguments it is at least as good as, itself included).  All members of a
-    class share one such set.  Every query reads this state: ``geq``,
-    ``strict``, ``equivalent`` and ``is_total`` take O(1), and
-    ``equivalence_classes`` O(classes); ``incomparable_pairs`` is empty at
-    once for a total preorder and O(n^2) only for a partial one.
+    A ranking is stored once, at construction, as its classes: the
+    equivalence classes in topological order (better classes first; among
+    classes neither of which is strictly above the other, fewer classes
+    strictly above first, then the smallest name), the class index of every
+    argument, and one down-set per class, the indices of the classes it is
+    at least as good as, itself included: ``range(i, k)`` for class i of a
+    total preorder of k classes, a frozenset for a partial one.  ``geq``,
+    ``strict``, ``equivalent``, ``incomparable`` and ``is_total`` take O(1),
+    and ``equivalence_classes`` O(classes); ``incomparable_pairs`` is empty
+    at once for a total preorder and O(n^2) only for a partial one.
 
     The two constructors are :meth:`from_classes`, which builds a total
-    preorder from its classes listed best first in O(n * classes) set work,
-    without a pair list, and :meth:`from_groups`, which takes any preorder
-    as groups of arguments known to be equivalent and the >= pairs between
-    groups.  Both audit transitivity and raise ``ValueError`` on a
-    violation; their set work grows with the pairs between groups, not
-    between arguments.
+    preorder from its classes listed best first in O(n), and
+    :meth:`from_groups`, which takes any preorder as groups of arguments
+    known to be equivalent and the >= pairs between groups, and audits
+    transitivity (``ValueError`` on a violation) with set work that grows
+    with the pairs between groups, not between arguments.
     """
 
-    __slots__ = ("arguments", "_geq", "_level", "_classes", "_total")
+    __slots__ = ("arguments", "_classes", "_level", "_down", "_total")
 
     @classmethod
     def from_groups(cls, groups: Sequence[Sequence[str]],
@@ -54,26 +54,24 @@ class Ranking:
                     a, b = groups[g][0], groups[h][0]
                     c = min(groups[k][0] for k in down[h] - below)
                     raise ValueError(f"not transitive: {a} >= {b} >= {c} but not {a} >= {c}")
-        # Groups are equivalent exactly when their at-least-as-good sets are
-        # equal; each class keeps its members in name order.
+        # Groups are equivalent exactly when their at-least-as-good sets are equal.
         keys = [frozenset(below) for below in down]
         members: dict[frozenset[int], list[str]] = {}
         for key, group in zip(keys, groups):
             members.setdefault(key, []).extend(group)
-        for group in members.values():
-            group.sort()
         above = dict.fromkeys(members, 0)
         for key in members:
             for lower in {keys[h] for h in key}:
                 if lower != key:
                     above[lower] += 1
-        order = sorted(members, key=lambda key: (above[key], members[key][0]))
-        total = all(above[key] == i for i, key in enumerate(order))
-        geq: dict[str, frozenset[str]] = {}
-        for key, group in members.items():
-            geq.update(dict.fromkeys(group, frozenset(a for h in key for a in groups[h])))
+        order = sorted(members, key=lambda key: (above[key], min(members[key])))
+        # total exactly when every earlier class is strictly above each class
+        class_down = None
+        if any(above[key] != i for i, key in enumerate(order)):
+            position = {key: i for i, key in enumerate(order)}
+            class_down = [frozenset(position[keys[h]] for h in key) for key in order]
         ranking = cls.__new__(cls)
-        ranking._store([frozenset(members[key]) for key in order], geq, total)
+        ranking._store([frozenset(members[key]) for key in order], class_down)
         return ranking
 
     @classmethod
@@ -84,25 +82,23 @@ class Ranking:
         ``ValueError``.
         """
         levels = [level for level in map(frozenset, classes) if level]
-        geq: dict[str, frozenset[str]] = {}
-        below: frozenset[str] = frozenset()
-        for level in reversed(levels):
-            twice = level & below
-            if twice:
-                raise ValueError(f"argument {min(twice)} is listed in two classes")
-            below = below | level
-            geq.update(dict.fromkeys(level, below))
+        seen: set[str] = set()
+        for level in levels:
+            if not seen.isdisjoint(level):
+                raise ValueError(f"argument {min(level & seen)} is listed in two classes")
+            seen.update(level)
         ranking = cls.__new__(cls)
-        ranking._store(levels, geq, True)
+        ranking._store(levels, None)
         return ranking
 
-    def _store(self, classes: list[frozenset[str]], geq: dict[str, frozenset[str]],
-               total: bool) -> None:
-        self.arguments: tuple[str, ...] = tuple(sorted(geq))
-        self._geq = geq
-        self._level = {a: i for i, level in enumerate(classes) for a in level}
+    def _store(self, classes: list[frozenset[str]], down: list[frozenset[int]] | None) -> None:
+        """Store ``classes`` with their down-sets; None stores a total preorder."""
         self._classes = tuple(classes)
-        self._total = total
+        self._level = {a: i for i, level in enumerate(classes) for a in level}
+        self._total = down is None
+        k = len(classes)
+        self._down = tuple(range(i, k) for i in range(k)) if down is None else tuple(down)
+        self.arguments: tuple[str, ...] = tuple(sorted(self._level))
 
     def _levels(self, a: str, b: str) -> tuple[int, int]:
         try:
@@ -111,20 +107,20 @@ class Ranking:
             raise ValueError(f"unknown argument in pair ({a},{b})") from None
 
     def geq(self, a: str, b: str) -> bool:
-        self._levels(a, b)
-        return b in self._geq[a]
+        level_a, level_b = self._levels(a, b)
+        return level_b in self._down[level_a]
 
     def strict(self, a: str, b: str) -> bool:
         level_a, level_b = self._levels(a, b)
-        return level_a != level_b and b in self._geq[a]
+        return level_a != level_b and level_b in self._down[level_a]
 
     def equivalent(self, a: str, b: str) -> bool:
         level_a, level_b = self._levels(a, b)
         return level_a == level_b
 
     def incomparable(self, a: str, b: str) -> bool:
-        self._levels(a, b)
-        return b not in self._geq[a] and a not in self._geq[b]
+        level_a, level_b = self._levels(a, b)
+        return level_b not in self._down[level_a] and level_a not in self._down[level_b]
 
     def is_total(self) -> bool:
         return self._total
@@ -132,9 +128,9 @@ class Ranking:
     def incomparable_pairs(self) -> list[tuple[str, str]]:
         if self._total:
             return []
-        args, geq = self.arguments, self._geq
+        args, level, down = self.arguments, self._level, self._down
         return [(a, b) for i, a in enumerate(args) for b in args[i + 1:]
-                if b not in geq[a] and a not in geq[b]]
+                if level[b] not in down[level[a]] and level[a] not in down[level[b]]]
 
     def equivalence_classes(self) -> list[frozenset[str]]:
         """Classes of mutually equivalent arguments, better classes first.
@@ -150,9 +146,8 @@ class Ranking:
         if not isinstance(other, Ranking):
             return NotImplemented
         # The class order is a function of the preorder, and a total
-        # preorder is its class order.
-        return (self._classes == other._classes and self._total == other._total
-                and (self._total or self._geq == other._geq))
+        # preorder stores ranges as its down-sets.
+        return self._classes == other._classes and self._down == other._down
 
     def __repr__(self) -> str:
         parts = [" = ".join(sorted(c)) for c in self._classes]

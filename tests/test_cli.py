@@ -138,6 +138,17 @@ def test_fuzz_out_onto_a_file_exits_2_before_the_run(tmp_path, capsys):
     assert f"error: cannot write {taken}" in captured.err
 
 
+@pytest.mark.parametrize("listed, name", [("mt,foo", "foo"), ("cat,", "")])
+def test_fuzz_unknown_semantics_exits_2_before_the_run(tmp_path, capsys, listed, name):
+    out_dir = tmp_path / "out"
+    assert main(["fuzz", "--semantics", listed, "--trials", "0", "--mt-trials", "0",
+                 "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown semantics {name!r}" in captured.err
+    assert not out_dir.exists()
+
+
 def test_malformed_env_seed_exits_2(ex1_path, capsys, monkeypatch):
     monkeypatch.setenv("RANKARG_SEED", "abc")
     assert main(["check", ex1_path, "Abs", "cat"]) == 2

@@ -402,39 +402,34 @@ def test_union_apart(ex1):
 
 
 def test_graft_attack_minimal():
-    f = graft_branch(ArgFramework.make("a"), "a", "attack", 1)
+    f = graft_branch(ArgFramework.make("a"), "a", "attack")
     assert len(f.arguments) == 2
     (attacker,) = f.attackers("a")
     assert not f.attackers(attacker)
 
 
 def test_graft_defense_minimal():
-    f = graft_branch(ArgFramework.make("a"), "a", "defense", 2)
+    f = graft_branch(ArgFramework.make("a"), "a", "defense")
     (x1,) = f.attackers("a")
     (x2,) = f.attackers(x1)
     assert not f.attackers(x2)
 
 
 def test_graft_onto_figure2_target(fig2):
-    grafted = graft_branch(fig2, "b", "defense", 2)
+    grafted = graft_branch(fig2, "b", "defense")
     profile = branch_profiles(grafted)["b"]
     assert profile.defense_lengths == (2,)
     assert profile.attack_lengths == (1,)
 
 
 def test_graft_parity_checked():
-    f = ArgFramework.make("a")
     with pytest.raises(FrameworkError):
-        graft_branch(f, "a", "defense", 3)
-    with pytest.raises(FrameworkError):
-        graft_branch(f, "a", "attack", 2)
-    with pytest.raises(FrameworkError):
-        graft_branch(f, "a", "support", 1)
+        graft_branch(ArgFramework.make("a"), "a", "support")
 
 
 def test_graft_names_stay_fresh():
     f = ArgFramework.make(["a", "a_a1"])
-    grafted = graft_branch(f, "a", "attack", 1)
+    grafted = graft_branch(f, "a", "attack")
     assert len(grafted.arguments) == 3
 
 

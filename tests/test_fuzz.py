@@ -10,7 +10,6 @@ import pytest
 from rankarg import axioms, fuzz, semantics
 from rankarg.axioms import (
     ABS_TRIALS,
-    BRANCH_LENGTH,
     EXTENDED_DEPENDENCY_RULES,
     EvalContext,
     PropertyId,
@@ -18,7 +17,7 @@ from rankarg.axioms import (
     check,
 )
 from rankarg.catalog import bundled, example1, figure2
-from rankarg.framework import ArgFramework, has_cycle
+from rankarg.framework import BRANCH_LENGTH, ArgFramework, has_cycle
 from rankarg.fuzz import (
     ENUMERATION_CAP,
     EXPECTED_SATISFACTION,
@@ -291,6 +290,15 @@ def test_default_matrix_keeps_the_requested_lane_order():
     fired = [f.split(" ", 1)[0] for f in report.dependency_failures]
     assert {"mt", "cat", "grounded"} <= set(fired)
     assert fired == sorted(fired, key=wanted.index)
+
+
+def test_default_matrix_rejects_an_unknown_semantics_before_any_lane(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fuzz, "default_corpora", lambda budget: calls.append("corpora"))
+    monkeypatch.setattr(fuzz, "build_matrix", lambda *args, **kwargs: calls.append("lane"))
+    with pytest.raises(ValueError, match="unknown semantics 'foo'"):
+        run_default_matrix(FuzzBudget(), semantics=["mt", "foo"])
+    assert calls == []
 
 
 def test_default_matrix_matches_golden_verdict_counts():

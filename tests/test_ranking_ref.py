@@ -2,9 +2,10 @@
 tests/ranking_ref.py: the pair-built preorder, per-coordinate clustering,
 and the dictionary recurrences for burden vectors and walk counts.
 
-Every ranking is compared on geq for every pair, the order of its
-equivalence classes, its incomparable pairs, totality and equality; burden
-vectors must be bit-identical and discussion-count vectors identical.
+Every ranking is compared on geq, strict, equivalent and incomparable for
+every pair, the order of its equivalence classes, its incomparable pairs,
+totality and equality; burden vectors must be bit-identical and
+discussion-count vectors identical.
 """
 
 import random
@@ -54,6 +55,7 @@ def assert_same(ours, ref):
     assert all(ours.strict(a, b) == ref.strict(a, b) and ours.equivalent(a, b) == ref.equivalent(a, b)
                for a in args for b in args)
     assert ours.equivalence_classes() == ref.equivalence_classes()
+    assert all(ours.incomparable(a, b) == ref.incomparable(a, b) for a in args for b in args)
     assert ours.incomparable_pairs() == ref.incomparable_pairs()
     assert ours.is_total() == ref.is_total()
     rebuilt = pair_ranking(args, pairs_of(ref))
