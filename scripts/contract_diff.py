@@ -10,9 +10,17 @@ into a temporary directory.  For each seed in turn (0 and 7 without
 tree and in this checkout, side by side, each with its own ``src`` on
 PYTHONPATH.  The two output directories (matrix.txt, records.jsonl and
 witnesses/) are compared file by file: every path that differs or exists
-on one side only is printed, then one summary line per seed.  The exit
-status is 1 when any seed differs, and 0 when every seed's outputs are
-byte-identical.
+on one side only is printed, then one summary line per seed.
+
+Then ``python -m rankarg.cli rank FILE SID --format json`` runs in both
+trees for each of the seven semantics on each rank input: data/*.apx,
+tests/data/acyclic120.apx, and six seeded ``gen_random`` frameworks of
+60 to 150 arguments at density 0.03 plus six acyclic ones at density 0.04
+(the tuples inputs), written once by this checkout.  Each request whose
+exit status, stdout or stderr differs is printed, then one summary line.
+
+The exit status is 1 when any seed or rank request differs, and 0 when
+every output is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +34,11 @@ import tempfile
 from pathlib import Path
 
 from bench_pairs import ROOT, export
+
+sys.path.insert(0, str(ROOT / "src"))
+from rankarg.framework import serialize_apx  # noqa: E402
+from rankarg.fuzz import GenSpec, gen_random  # noqa: E402
+from rankarg.semantics import SEMANTICS_IDS  # noqa: E402
 
 
 def start_fuzz(tree: Path, seed: int, out: Path) -> subprocess.Popen:
@@ -67,6 +80,42 @@ def compare_seed(base_tree: Path, seed: int, tmp: Path) -> tuple[list[str], int]
     return differences(outs["base"], outs["change"]), len(files_under(outs["change"]))
 
 
+RANK_SIZES = (60, 78, 96, 114, 132, 150)
+
+
+def rank_inputs(into: Path) -> list[Path]:
+    """data/*.apx, acyclic120.apx, and the seeded large frameworks written into ``into``."""
+    files = sorted((ROOT / "data").glob("*.apx")) + [ROOT / "tests" / "data" / "acyclic120.apx"]
+    for acyclic, density in ((False, 0.03), (True, 0.04)):
+        for seed, n in enumerate(RANK_SIZES):
+            spec = GenSpec((n, n), density, acyclic_only=acyclic, seed=seed)
+            path = into / f"{'acyclic' if acyclic else 'random'}{n}.apx"
+            path.write_text(serialize_apx(next(gen_random(spec))))
+            files.append(path)
+    return files
+
+
+def start_rank(tree: Path, path: Path, sid: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.Popen([sys.executable, "-m", "rankarg.cli", "rank", str(path), sid,
+                             "--format", "json"],
+                            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def compare_ranks(base_tree: Path, tmp: Path) -> tuple[list[str], int]:
+    """(one line per differing rank request, requests made)."""
+    lines, requests = [], 0
+    for path in rank_inputs(tmp):
+        for sid in SEMANTICS_IDS:
+            runs = [start_rank(tree, path, sid) for tree in (base_tree, ROOT)]
+            base, change = [(proc.communicate(), proc.returncode) for proc in runs]
+            requests += 1
+            if base != change:
+                lines.append(f"differs: rank {path.name} {sid} --format json "
+                             f"(exit {base[1]} vs {change[1]})")
+    return lines, requests
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -86,6 +135,13 @@ def main(argv=None) -> int:
                   else f"identical: {count} files, fuzz --seed {seed}, {args.base} vs this checkout",
                   flush=True)
             differ = differ or bool(lines)
+        lines, requests = compare_ranks(tmp / "base", tmp)
+        for line in lines:
+            print(line)
+        print(f"rank --format json: {len(lines)} of {requests} requests differ" if lines
+              else f"identical: {requests} rank --format json requests, {args.base} vs this checkout",
+              flush=True)
+        differ = differ or bool(lines)
     return 1 if differ else 0
 
 

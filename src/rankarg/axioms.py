@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, product
 from typing import Callable, Iterable
 
@@ -375,8 +375,10 @@ def _qp_premise(framework, ranking):
 def _group_premise(strict):
     def premise(framework, ranking):
         compare = group_gt if strict else group_geq
-        return ((a, b) for a, b in _pairs(framework.arguments)
-                if compare(framework.attackers(b), framework.attackers(a), ranking))
+        attackers = {a: framework.attackers(a) for a in framework.arguments}
+        # each distinct (attackers of b, attackers of a) pair is compared once
+        holds = cache(lambda s1, s2: compare(s1, s2, ranking))
+        return ((a, b) for a, b in _pairs(framework.arguments) if holds(attackers[b], attackers[a]))
     return premise
 
 

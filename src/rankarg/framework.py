@@ -15,8 +15,12 @@ from typing import Iterable, Iterator
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
-_FACT_PATTERN = re.compile(
-    r"(?P<kind>arg|att)\s*\(\s*(?P<a>[A-Za-z0-9_]+)\s*(?:,\s*(?P<b>[A-Za-z0-9_]+)\s*)?\)\s*\."
+# The characters str.splitlines ends a line at, and whitespace within a line.
+_BREAKS = r"\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029"
+_SPACE = rf"[^\S{_BREAKS}]*"
+_TOKEN = re.compile(  # groups: kind, first name, second name, line break, bad token
+    rf"(arg|att){_SPACE}\({_SPACE}([A-Za-z0-9_]+){_SPACE}(?:,{_SPACE}([A-Za-z0-9_]+){_SPACE})?\){_SPACE}\."
+    rf"|%[^{_BREAKS}]*|(\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|([^{_BREAKS}%]{{1,30}})"
 )
 
 
@@ -60,17 +64,18 @@ class ArgFramework:
 
     def __post_init__(self):
         object.__setattr__(self, "arguments", frozenset(self.arguments))
-        object.__setattr__(self, "attacks", frozenset((a, b) for a, b in self.attacks))
-        for name in self.arguments:
-            if not NAME_PATTERN.match(name):
-                raise FrameworkError(f"bad argument name {name!r}")
-        attackers: dict[str, set[str]] = {a: set() for a in self.arguments}
-        targets: dict[str, set[str]] = {a: set() for a in self.arguments}
-        for src, dst in self.attacks:
-            if src not in self.arguments or dst not in self.arguments:
-                raise FrameworkError(f"attack ({src},{dst}) references an undeclared argument")
-            attackers[dst].add(src)
-            targets[src].add(dst)
+        object.__setattr__(self, "attacks", frozenset([(a, b) for a, b in self.attacks]))
+        if not all(map(NAME_PATTERN.match, self.arguments)):
+            name = next(a for a in self.arguments if not NAME_PATTERN.match(a))
+            raise FrameworkError(f"bad argument name {name!r}")
+        attackers: dict[str, list[str]] = {a: [] for a in self.arguments}
+        targets: dict[str, list[str]] = {a: [] for a in self.arguments}
+        try:
+            for src, dst in self.attacks:
+                attackers[dst].append(src)
+                targets[src].append(dst)
+        except KeyError:
+            raise FrameworkError(f"attack ({src},{dst}) references an undeclared argument") from None
         object.__setattr__(self, "_attackers", {a: frozenset(s) for a, s in attackers.items()})
         object.__setattr__(self, "_targets", {a: frozenset(s) for a, s in targets.items()})
 
@@ -122,43 +127,45 @@ class ArgFramework:
 def parse_apx(text: str) -> ArgFramework:
     """Parse apx facts (``arg(X).`` / ``att(X,Y).``) into a framework.
 
-    ``%`` starts a comment running to end of line.  Several facts may share a
-    line.  Attacks may precede the ``arg`` facts they reference, but every
-    endpoint must be declared somewhere, and redeclaring an argument is an
-    error.
+    A fact lies on one line, and several facts may share a line.  ``%``
+    starts a comment running to the end of the line; lines end where
+    str.splitlines ends them.  Attacks may precede the ``arg`` facts they
+    reference, but every endpoint must be declared somewhere, and
+    redeclaring an argument is an error.  Errors name their line: the first
+    syntax error in the text, else the first duplicate, else the first
+    undeclared endpoint.
     """
     args: list[tuple[str, int]] = []
-    atts: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            match = _FACT_PATTERN.match(line, pos)
-            if not match:
-                raise ApxError(f"unparseable fact near {line[pos:pos + 30]!r}", lineno)
-            kind, a, b = match.group("kind"), match.group("a"), match.group("b")
-            if kind == "arg":
-                if b is not None:
-                    raise ApxError("arg() takes a single name", lineno)
-                args.append((a, lineno))
-            else:
-                if b is None:
-                    raise ApxError("att() needs two names", lineno)
-                atts.append((a, b, lineno))
-            pos = match.end()
+    atts: list[tuple[str, str]] = []
+    att_lines: list[int] = []
+    line = 1
+    for kind, a, b, brk, bad in _TOKEN.findall(text):
+        if brk:
+            line += 1
+        elif kind == "arg":
+            if b:
+                raise ApxError("arg() takes a single name", line)
+            args.append((a, line))
+        elif kind:
+            if not b:
+                raise ApxError("att() needs two names", line)
+            atts.append((a, b))
+            att_lines.append(line)
+        elif bad:
+            raise ApxError(f"unparseable fact near {bad!r}", line)
     declared: set[str] = set()
     for name, lineno in args:
         if name in declared:
             raise ApxError(f"duplicate arg({name})", lineno)
         declared.add(name)
-    for a, b, lineno in atts:
-        for name in (a, b):
-            if name not in declared:
-                raise ApxError(f"attack references undeclared argument {name!r}", lineno)
-    return ArgFramework(frozenset(declared), frozenset((a, b) for a, b, _ in atts))
+    try:
+        return ArgFramework(frozenset(declared), atts)
+    except FrameworkError:  # the constructor met an undeclared endpoint
+        for (a, b), lineno in zip(atts, att_lines):
+            for name in (a, b):
+                if name not in declared:
+                    raise ApxError(f"attack references undeclared argument {name!r}", lineno) from None
+        raise
 
 
 def serialize_apx(framework: ArgFramework) -> str:
@@ -257,29 +264,26 @@ def branch_profiles(framework: ArgFramework) -> dict[str, BranchProfile]:
     BRANCH_PROFILE_BUDGET entries."""
     if has_cycle(framework):
         raise CyclicFrameworkError("branch profiles need an acyclic framework")
-    args = framework.arguments
-    ways = {a: {} for a in args}  # length -> number of root walks
-    for root in framework.unattacked():
-        ways[root][0] = 1
-    for length in range(1, len(args)):
-        layer = {}
-        for a in args:
-            total = sum(ways[b].get(length - 1, 0) for b in framework.attackers(a))
-            if total:
-                layer[a] = total
-        if not layer:
-            break
+    targets = framework._targets
+    ways = {a: {} for a in framework.arguments}  # length -> number of root walks
+    layer = dict.fromkeys(framework.unattacked(), 1)
+    length = 0
+    while layer:  # walks of an acyclic graph are shorter than its size
+        pushed: dict[str, int] = {}
         for a, n in layer.items():
             ways[a][length] = n
+            for b in targets[a]:
+                pushed[b] = pushed.get(b, 0) + n
+        layer, length = pushed, length + 1
     entries = sum(sum(w.values()) for w in ways.values())
     if entries > BRANCH_PROFILE_BUDGET:
         raise SizeCapExceededError(
             f"branch profiles need {entries:,} entries, over the budget of {BRANCH_PROFILE_BUDGET:,}")
     out = {}
-    for a in args:
+    for a, by_length in ways.items():
         defense: list[int] = []
         attack: list[int] = []
-        for length, mult in sorted(ways[a].items()):
+        for length, mult in by_length.items():  # lengths come in increasing order
             (defense if length % 2 == 0 else attack).extend([length] * mult)
         out[a] = BranchProfile(tuple(defense), tuple(attack))
     return out

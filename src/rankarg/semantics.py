@@ -399,11 +399,18 @@ def compare_tuples(va: BranchProfile, vb: BranchProfile) -> str:
         return "eq"
     pa, ia = va.defense_lengths, va.attack_lengths
     pb, ib = vb.defense_lengths, vb.attack_lengths
-    if pa == (0,):  # only an unattacked argument has a length-0 branch
-        return "gt"
-    if pb == (0,):
-        return "lt"
-    if len(ia) == len(ib) and len(pa) == len(pb):
+    return _tuples_relation((pa == (0,), pa, ia, len(pa), len(ia)), (pb == (0,), pb, ib, len(pb), len(ib)))
+
+
+def _tuples_relation(ka: tuple, kb: tuple) -> str:
+    """compare_tuples of two distinct profiles, each given as (unattacked?,
+    defense key, attack key, defense count, attack count), where a key is
+    the tuple itself or anything that orders as the tuples do."""
+    top_a, pa, ia, len_pa, len_ia = ka
+    top_b, pb, ib, len_pb, len_ib = kb
+    if top_a or top_b:  # only an unattacked argument has a length-0 branch
+        return "gt" if top_a else "lt"
+    if len_ia == len_ib and len_pa == len_pb:
         cmp_p = (pa > pb) - (pa < pb)
         cmp_i = (ia > ib) - (ia < ib)
         if cmp_p <= 0 and cmp_i >= 0:
@@ -411,9 +418,9 @@ def compare_tuples(va: BranchProfile, vb: BranchProfile) -> str:
         if cmp_p >= 0 and cmp_i <= 0:
             return "lt"
         return "none"
-    if len(ia) >= len(ib) and len(pa) <= len(pb):
+    if len_ia >= len_ib and len_pa <= len_pb:
         return "lt"
-    if len(ia) <= len(ib) and len(pa) >= len(pb):
+    if len_ia <= len_ib and len_pa >= len_pb:
         return "gt"
     return "none"
 
@@ -422,16 +429,20 @@ def tuples_ranking(framework: ArgFramework) -> Ranking:
     """Partial preorder from pairwise tuple comparison; transitivity audited.
 
     Arguments with equal branch profiles are tied, and only those compare
-    'eq', so one representative per profile is compared with each other."""
+    'eq', so one representative per profile is compared with each other,
+    by the ranks of its tuples among the distinct ones, sorted once."""
     values = tuples_values(framework)
     groups: dict[BranchProfile, list[str]] = {}
     for a in sorted(framework.arguments):
         groups.setdefault(values[a], []).append(a)
-    profiles = list(groups)
+    defense = {t: r for r, t in enumerate(sorted({v.defense_lengths for v in groups}))}
+    attack = {t: r for r, t in enumerate(sorted({v.attack_lengths for v in groups}))}
+    keys = [(v.defense_lengths == (0,), defense[v.defense_lengths], attack[v.attack_lengths],
+             len(v.defense_lengths), len(v.attack_lengths)) for v in groups]
     pairs = []
-    for g, va in enumerate(profiles):
-        for h in range(g + 1, len(profiles)):
-            rel = compare_tuples(va, profiles[h])
+    for g, key in enumerate(keys):
+        for h in range(g + 1, len(keys)):
+            rel = _tuples_relation(key, keys[h])
             if rel == "gt":
                 pairs.append((g, h))
             elif rel == "lt":

@@ -1,9 +1,11 @@
 """Reference implementations kept as test oracles for the stored-class
 rankings and the array kernels of rankarg: the pair-built preorder, the
-per-coordinate clustering of step vectors, and the dictionary recurrences
-for burden vectors and walk counts.  They cost O(n^2) Python work per
-ranking and O(n * depth) attacker lookups per vector table.  Also the
-pair constructor the tests use to build a Ranking from its >= pairs."""
+per-coordinate clustering of step vectors, the dictionary recurrences
+for burden vectors and walk counts, and branch profiles by enumerating
+every root walk.  They cost O(n^2) Python work per ranking, O(n * depth)
+attacker lookups per vector table and one step per walk prefix per
+profile table.  Also the pair constructor the tests use to build a
+Ranking from its >= pairs."""
 
 from rankarg.framework import ArgFramework
 from rankarg.orders import Ranking
@@ -128,6 +130,22 @@ def ref_walk_counts(framework: ArgFramework, max_len: int):
             table[a].append(n)
         prev = cur
     return {a: tuple(v) for a, v in table.items()}
+
+
+def ref_branch_profiles(framework: ArgFramework):
+    """{argument: (defense lengths, attack lengths)} of an acyclic framework,
+    by following every walk back from the argument to an unattacked one."""
+    out = {}
+    for a in framework.arguments:
+        lengths, stack = [], [(a, 0)]
+        while stack:
+            node, length = stack.pop()
+            if not framework.attackers(node):
+                lengths.append(length)
+            stack.extend((b, length + 1) for b in framework.attackers(node))
+        lengths.sort()
+        out[a] = (tuple(n for n in lengths if n % 2 == 0), tuple(n for n in lengths if n % 2))
+    return out
 
 
 def ref_dbs_vectors(framework: ArgFramework, depth: int):

@@ -6,6 +6,7 @@ from itertools import chain
 
 import pytest
 
+from rankarg import axioms
 from rankarg.axioms import (
     _CHECKERS,
     DEPENDENCY_RULES,
@@ -150,6 +151,23 @@ def test_qp_needs_attacked_underdog():
 def test_grounded_ct_qp_hold_on_example1(ex1):
     for prop in (PropertyId.CT, PropertyId.QP):
         assert check(prop, ex1, SemanticsRef("grounded")).status is VerdictStatus.HOLDS
+
+
+@pytest.mark.parametrize("prop, compare", [(PropertyId.CT, "group_geq"), (PropertyId.SCT, "group_gt")])
+def test_group_premise_compares_each_attacker_set_pair_once(prop, compare, monkeypatch):
+    # a and b each attacked by 40 unattacked arguments: 6,642 ordered pairs,
+    # but only three distinct attacker sets (those of a, of b, and the empty one)
+    xs, ys = [f"x{i}" for i in range(40)], [f"y{i}" for i in range(40)]
+    f = ArgFramework.make(["a", "b", *xs, *ys], [(x, "a") for x in xs] + [(y, "b") for y in ys])
+    original, calls = getattr(axioms, compare), []
+
+    def counted(s1, s2, ranking):
+        calls.append((s1, s2))
+        return original(s1, s2, ranking)
+
+    monkeypatch.setattr(axioms, compare, counted)
+    assert check(prop, f, SemanticsRef("grounded")).status is VerdictStatus.HOLDS
+    assert 0 < len(calls) == len(set(calls)) <= 9
 
 
 def test_grounded_vp_violated_on_example1(ex1):

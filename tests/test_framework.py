@@ -208,6 +208,74 @@ def test_parse_apx_syntax_error_carries_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0c", "\u2028"],
+                         ids=["lf", "crlf", "cr", "formfeed", "line-separator"])
+def test_parse_apx_line_breaks(brk):
+    assert parse_apx(f"arg(a).{brk}arg(b).{brk}att(a,b).{brk}") == ArgFramework.make("ab", [("a", "b")])
+    with pytest.raises(ApxError, match=r"^line 3: unparseable fact near 'bogus\.'$"):
+        parse_apx(f"arg(a).{brk}{brk}bogus.")
+
+
+def test_parse_apx_fact_does_not_span_lines():
+    with pytest.raises(ApxError, match=r"^line 1: unparseable fact near 'arg\('$"):
+        parse_apx("arg(\na).")
+
+
+def test_parse_apx_several_facts_on_one_line():
+    f = parse_apx("arg(a).arg(b). att(a,b).\tatt( b , a ) .")
+    assert f == ArgFramework.make("ab", [("a", "b"), ("b", "a")])
+
+
+def test_parse_apx_comment_at_end_of_file():
+    assert parse_apx("arg(a). % no newline after this") == ArgFramework.make("a")
+    assert parse_apx("arg(a).%") == ArgFramework.make("a")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("arg(a).\n  arg(b). xyz % arg(c).\n", "line 2: unparseable fact near 'xyz '"),
+    ("arg(a).\n" + "q" * 40, "line 2: unparseable fact near '" + "q" * 30 + "'"),
+    ("arg(a).\narg(a,b).", "line 2: arg() takes a single name"),
+    ("arg(a).\n\natt(a).", "line 3: att() needs two names"),
+    ("arg(a).\narg(b).\narg(a).", "line 3: duplicate arg(a)"),
+    ("att(a,b).\narg(a).", "line 1: attack references undeclared argument 'b'"),
+    # the first syntax error wins over duplicates, and duplicates over
+    # undeclared endpoints, wherever they stand
+    ("arg(a).\narg(a).\natt(a, z).\nbad", "line 4: unparseable fact near 'bad'"),
+    ("att(a,z).\narg(a).\narg(a).", "line 3: duplicate arg(a)"),
+], ids=["unparseable", "snippet-30", "arg-two-names", "att-one-name", "duplicate",
+        "undeclared", "syntax-first", "duplicate-before-undeclared"])
+def test_parse_apx_error_texts(text, message):
+    with pytest.raises(ApxError) as err:
+        parse_apx(text)
+    assert str(err.value) == message
+    assert err.value.line == int(message.split()[1].rstrip(":"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(frameworks, st.randoms(use_true_random=False))
+def test_apx_round_trip_through_padding(f, rng):
+    def pad():
+        return rng.choice(["", "", " ", "\t", "  \t "])
+
+    def fact(kind, names):
+        inner = f"{pad()},{pad()}".join(names)
+        return f"{pad()}{kind}{pad()}({pad()}{inner}{pad()}){pad()}.{pad()}"
+
+    lines = []
+    for line in serialize_apx(f).splitlines():
+        kind, names = line[:3], line[4:-2].split(",")
+        text = fact(kind, names)
+        if rng.random() < 0.3:
+            text += f"% {rng.choice(['note', 'arg(zz).', '%'])}"
+        lines.append(text)
+        if rng.random() < 0.2:
+            lines.append(pad() + "% a whole-line comment")
+    text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+    if rng.random() < 0.5:
+        text += "% trailing comment without a newline"
+    assert parse_apx(text) == f
+
+
 def test_parse_apx_example1(ex1):
     text = "\n".join(f"arg({a})." for a in "abcde") + \
         "\natt(a,e). att(b,a). att(b,c). att(c,e). att(d,a). att(e,d)."

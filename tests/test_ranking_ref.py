@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from rankarg.framework import has_cycle, walk_counts
+from rankarg.framework import branch_profiles, has_cycle, walk_counts
 from rankarg.fuzz import GenSpec, gen_random
 from rankarg.orders import Ranking, cluster_ranks, ranking_from_scores
 from rankarg.semantics import (
@@ -34,6 +34,7 @@ from ranking_ref import (
     PairRanking,
     pair_ranking,
     ref_bbs_vectors,
+    ref_branch_profiles,
     ref_cluster_ranks,
     ref_dbs_vectors,
     ref_ranking_from_scores,
@@ -197,9 +198,21 @@ def test_semantics_rankings_match_the_pair_reference():
                             ref_ranking_from_scores(scores, SCORE_TIE_TOL[sid]))
 
 
+def test_branch_profiles_match_walk_enumeration():
+    for seed, density in enumerate((0.1, 0.2, 0.3, 0.45)):
+        stream = gen_random(GenSpec((1, 12), density, acyclic_only=True, seed=200 + seed))
+        for _ in range(40):
+            f = next(stream)
+            profiles = {a: (p.defense_lengths, p.attack_lengths) for a, p in branch_profiles(f).items()}
+            assert profiles == ref_branch_profiles(f)
+
+
 def test_tuples_rankings_match_the_pair_reference():
     acyclic = [f for f in FRAMEWORKS if not has_cycle(f)]
     assert len(acyclic) > 20
+    # the sizes and density the rank workload serves tuples at
+    acyclic += [next(gen_random(GenSpec((n, n), 0.04, acyclic_only=True, seed=300 + n)))
+                for n in (60, 90, 120, 150)]
     for f in acyclic:
         values = tuples_values(f)
         names = sorted(f.arguments)
