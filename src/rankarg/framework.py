@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import count, islice
 from typing import Iterable, Iterator
 
@@ -18,10 +19,16 @@ NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 # The characters str.splitlines ends a line at, and whitespace within a line.
 _BREAKS = r"\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029"
 _SPACE = rf"[^\S{_BREAKS}]*"
-_TOKEN = re.compile(  # groups: kind, first name, second name, line break, bad token
-    rf"(arg|att){_SPACE}\({_SPACE}([A-Za-z0-9_]+){_SPACE}(?:,{_SPACE}([A-Za-z0-9_]+){_SPACE})?\){_SPACE}\."
-    rf"|%[^{_BREAKS}]*|(\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|([^{_BREAKS}%]{{1,30}})"
-)
+
+
+@cache
+def _token_pattern() -> re.Pattern:
+    """parse_apx's token pattern, compiled on first use (most runs never parse
+    apx).  Groups: kind, first name, second name, line break, bad token."""
+    return re.compile(
+        rf"(arg|att){_SPACE}\({_SPACE}([A-Za-z0-9_]+){_SPACE}(?:,{_SPACE}([A-Za-z0-9_]+){_SPACE})?\){_SPACE}\."
+        rf"|%[^{_BREAKS}]*|(\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|([^{_BREAKS}%]{{1,30}})"
+    )
 
 
 class FrameworkError(ValueError):
@@ -139,7 +146,7 @@ def parse_apx(text: str) -> ArgFramework:
     atts: list[tuple[str, str]] = []
     att_lines: list[int] = []
     line = 1
-    for kind, a, b, brk, bad in _TOKEN.findall(text):
+    for kind, a, b, brk, bad in _token_pattern().findall(text):
         if brk:
             line += 1
         elif kind == "arg":

@@ -122,13 +122,15 @@ _MT_LIVE_ARRAYS = 4
 def _edge_arrays(framework: ArgFramework) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(names, src, dst): sorted(arguments), and attack k running from
     names[src[k]] to names[dst[k]].  The attacks are sorted by target, then
-    attacker, so np.bincount over dst sums each attacker set in name order
-    and the sums do not depend on set iteration order."""
+    attacker (by the unique key dst * n + src), so np.bincount over dst sums
+    each attacker set in name order and the sums do not depend on set
+    iteration order."""
     names = sorted(framework.arguments)
     index = {a: i for i, a in enumerate(names)}
-    edges = np.array(sorted((index[b], index[a]) for a, b in framework.attacks),
-                     dtype=np.intp).reshape(-1, 2)
-    return names, edges[:, 1], edges[:, 0]
+    n = len(names)
+    keys = np.array(sorted(index[b] * n + index[a] for a, b in framework.attacks), dtype=np.intp)
+    dst, src = np.divmod(keys, n)
+    return names, src, dst
 
 
 def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
@@ -155,11 +157,12 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     """
     names, src, dst = _edge_arrays(framework)
     n = len(names)
-    newton_fits = 8 * n * n <= _JACOBIAN_BUDGET_BYTES
+    # Flat positions of the attacks' Jacobian entries (unique, as the attacks are).
+    newton_at = dst * n + src if 8 * n * n <= _JACOBIAN_BUDGET_BYTES else None
 
     x = np.full(n, upper)
     fx = fmap(x, src, dst)
-    residual = np.max(np.abs(x - fx), initial=0.0)
+    residual = _max_abs(x - fx)
     damping, best, stalled = _DAMPING, residual, 0
     damped = newton = 0
     while residual > cfg.tol:
@@ -168,13 +171,13 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
                 f"{label} did not converge within {damped + newton} iterations "
                 f"({damped} damped, {newton} Newton; residual {residual:.1e})")
         found = None
-        if newton_fits and residual < _NEWTON_GATE:
-            found = _newton_step(x, fx, residual, upper, fmap, slopes, src, dst)
+        if newton_at is not None and residual < _NEWTON_GATE:
+            found = _newton_step(x, fx, residual, upper, fmap, slopes, src, dst, newton_at)
         if found is None:
             damped += 1
             x = x + damping * (fx - x)
             fx = fmap(x, src, dst)
-            residual = np.max(np.abs(x - fx))
+            residual = _max_abs(x - fx)
             best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
             if stalled == _STALL_STEPS:
                 damping, stalled = damping * 0.5, 0
@@ -184,24 +187,30 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     return dict(zip(names, x.tolist()))
 
 
-def _newton_step(x, fx, residual, upper, fmap, slopes, src, dst):
+def _max_abs(d):
+    """max|d|, 0.0 for an empty d, without the np.max wrapper's overhead."""
+    return np.maximum.reduce(np.abs(d), initial=0.0)
+
+
+def _newton_step(x, fx, residual, upper, fmap, slopes, src, dst, newton_at):
     """(x, F(x), residual) after one Newton step, or None if no trial cuts
-    the residual below _NEWTON_DECREASE times its current value."""
+    the residual below _NEWTON_DECREASE times its current value.
+    ``newton_at`` holds each attack's flat position in the n x n Jacobian."""
     n = len(x)
-    jacobian = np.zeros((n, n))
-    jacobian[dst, src] = slopes(x, fx, src, dst)
-    jacobian.flat[::n + 1] += 1.0
+    jacobian = np.zeros(n * n)
+    jacobian[newton_at] = slopes(x, fx, src, dst)
+    jacobian[::n + 1] += 1.0
     try:
-        direction = np.linalg.solve(jacobian, fx - x)
+        direction = np.linalg.solve(jacobian.reshape(n, n), fx - x)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(direction)):
+    if not np.isfinite(direction).all():
         return None
     step = 1.0
     for _ in range(_LINE_SEARCH_HALVINGS):
-        trial = np.clip(x + step * direction, 0.0, upper)
+        trial = np.minimum(np.maximum(x + step * direction, 0.0), upper)
         f_trial = fmap(trial, src, dst)
-        trial_residual = np.max(np.abs(trial - f_trial))
+        trial_residual = _max_abs(trial - f_trial)
         if trial_residual < _NEWTON_DECREASE * residual:
             return trial, f_trial, trial_residual
         step *= 0.5
@@ -241,6 +250,10 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
 
     Score of a = tau * (1 - probabilistic sum of attacker scores); the empty
     aggregation is 0, so unattacked arguments sit at tau.
+
+    If tau rounds to 1.0, an attacker at 1.0 gives log1p(-1) = -inf (its
+    target scores 0, as intended) and a nan Jacobian entry (the step is
+    damped instead); numpy's warnings for both are silenced.
     """
     tau = 1.0 / (1.0 + cfg.epsilon)
 
@@ -250,7 +263,8 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
     def slopes(x, fx, src, dst):
         return fx[dst] / (1.0 - x[src])
 
-    return _solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")
 
 
 def saf_residual(framework: ArgFramework, scores: dict[str, float], cfg: SolverConfig = DEFAULT_CONFIG) -> float:

@@ -1,6 +1,9 @@
 """Command-line behaviour: output formats, exit codes, witness round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,17 @@ def test_rank_epsilon_flag_changes_scores(ex1_path, capsys):
     assert main(["rank", ex1_path, "saf", "--format", "json", "--epsilon", "0.5"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["scores"]["b"] == pytest.approx(1 / 1.5, abs=1e-9)
+
+
+def test_rank_saf_at_tau_one_exits_0_with_empty_stderr():
+    # epsilon 1e-17 rounds tau to 1.0; numpy used to print two RuntimeWarnings
+    # here, and to exit 1 under -W error::RuntimeWarning
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rankarg.cli",
+                           "rank", str(ROOT / "data" / "example1.apx"), "saf", "--epsilon", "1e-17"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "b = e > a = c = d\n"
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,7 +1,11 @@
 """The Newton fixed-point solver against the three-stage damping ladder it
-replaced, kept here as the reference implementation."""
+replaced, and against its own first form (one numpy call per operation,
+before the Jacobian positions were computed once per solve); both are kept
+here as reference implementations."""
 
 import random
+import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from rankarg import semantics
 from rankarg.catalog import two_cycle
 from rankarg.framework import ArgFramework
+from rankarg.fuzz import GenSpec, gen_random
 from rankarg.orders import ranking_from_scores
 from rankarg.semantics import (
     SCORE_TIE_TOL,
@@ -61,6 +66,92 @@ def ladder_saf(framework, cfg=CFG):
         return out
 
     return ladder_fixpoint(framework, tau, step, cfg)
+
+
+def ref_edge_arrays(framework):
+    names = sorted(framework.arguments)
+    index = {a: i for i, a in enumerate(names)}
+    edges = np.array(sorted((index[b], index[a]) for a, b in framework.attacks),
+                     dtype=np.intp).reshape(-1, 2)
+    return names, edges[:, 1], edges[:, 0]
+
+
+def ref_solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
+    """The first form of semantics._solve_fixpoint, step for step; it reads
+    the module's constants, so a monkeypatched budget applies to both."""
+    names, src, dst = ref_edge_arrays(framework)
+    n = len(names)
+    newton_fits = 8 * n * n <= semantics._JACOBIAN_BUDGET_BYTES
+
+    x = np.full(n, upper)
+    fx = fmap(x, src, dst)
+    residual = np.max(np.abs(x - fx), initial=0.0)
+    damping, best, stalled = semantics._DAMPING, residual, 0
+    damped = newton = 0
+    while residual > cfg.tol:
+        if damped + newton >= cfg.max_iter:
+            raise NonConvergenceError(
+                f"{label} did not converge within {damped + newton} iterations "
+                f"({damped} damped, {newton} Newton; residual {residual:.1e})")
+        found = None
+        if newton_fits and residual < semantics._NEWTON_GATE:
+            found = ref_newton_step(x, fx, residual, upper, fmap, slopes, src, dst)
+        if found is None:
+            damped += 1
+            x = x + damping * (fx - x)
+            fx = fmap(x, src, dst)
+            residual = np.max(np.abs(x - fx))
+            best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+            if stalled == semantics._STALL_STEPS:
+                damping, stalled = damping * 0.5, 0
+        else:
+            newton += 1
+            x, fx, residual = found
+    return dict(zip(names, x.tolist()))
+
+
+def ref_newton_step(x, fx, residual, upper, fmap, slopes, src, dst):
+    n = len(x)
+    jacobian = np.zeros((n, n))
+    jacobian[dst, src] = slopes(x, fx, src, dst)
+    jacobian.flat[::n + 1] += 1.0
+    try:
+        direction = np.linalg.solve(jacobian, fx - x)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(direction)):
+        return None
+    step = 1.0
+    for _ in range(semantics._LINE_SEARCH_HALVINGS):
+        trial = np.clip(x + step * direction, 0.0, upper)
+        f_trial = fmap(trial, src, dst)
+        trial_residual = np.max(np.abs(trial - f_trial))
+        if trial_residual < semantics._NEWTON_DECREASE * residual:
+            return trial, f_trial, trial_residual
+        step *= 0.5
+    return None
+
+
+def ref_categoriser(framework, cfg=CFG):
+    def fmap(x, src, dst):
+        return 1.0 / (1.0 + np.bincount(dst, weights=x[src], minlength=len(x)))
+
+    def slopes(x, fx, src, dst):
+        return fx[dst] ** 2
+
+    return ref_solve_fixpoint(framework, 1.0, fmap, slopes, cfg, "categoriser")
+
+
+def ref_saf(framework, cfg=CFG):
+    tau = 1.0 / (1.0 + cfg.epsilon)
+
+    def fmap(x, src, dst):
+        return tau * np.exp(np.bincount(dst, weights=np.log1p(-x[src]), minlength=len(x)))
+
+    def slopes(x, fx, src, dst):
+        return fx[dst] / (1.0 - x[src])
+
+    return ref_solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")
 
 
 CASES = (
@@ -169,3 +260,59 @@ def test_clipped_newton_steps_do_not_stall():
         ours, theirs = solve(framework, quick), reference(framework)
         assert residual(framework, ours) < 1e-11
         assert max(abs(ours[a] - theirs[a]) for a in framework.arguments) < 1e-9
+
+
+EXACT_CASES = (("cat", categoriser_scores, ref_categoriser), ("saf", saf_scores, ref_saf))
+
+
+def seeded_frameworks():
+    """336 gen_random frameworks, seven per size 1-16 and density, self-attacks
+    allowed, and one of 58 arguments (the largest solve the fuzz lanes make)."""
+    frameworks = [next(gen_random(GenSpec((n, n), density, seed=seed)))
+                  for n in range(1, 17) for density in (0.15, 0.3, 0.5) for seed in range(7)]
+    return frameworks + [next(gen_random(GenSpec((58, 58), 0.15, seed=1)))]
+
+
+def outcome(solve, framework, cfg):
+    try:
+        return solve(framework, cfg)
+    except NonConvergenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("sid, solve, reference", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_scores_equal_the_first_form_exactly(sid, solve, reference):
+    frameworks = seeded_frameworks()
+    assert len(frameworks) >= 300
+    for framework in frameworks:
+        assert solve(framework, CFG) == reference(framework, CFG), sorted(framework.attacks)
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["newton", "damped-only"])
+@pytest.mark.parametrize("sid, solve, reference", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_refusals_equal_the_first_form_exactly(monkeypatch, sid, solve, reference, budget):
+    # the refusal text names the damped and Newton steps and the residual
+    if budget is not None:
+        monkeypatch.setattr(semantics, "_JACOBIAN_BUDGET_BYTES", budget)
+    refused = 0
+    for framework in seeded_frameworks()[::3]:
+        for max_iter in [*range(1, 9), CFG.max_iter]:
+            cfg = SolverConfig(max_iter=max_iter)
+            ours = outcome(solve, framework, cfg)
+            assert ours == outcome(reference, framework, cfg), (max_iter, sorted(framework.attacks))
+            refused += isinstance(ours, str)
+    assert refused > 0
+
+
+def test_saf_at_tau_one_warns_nothing():
+    # epsilon 1e-17 rounds tau to 1.0: log1p(-1) = -inf is the intended value
+    # and the nan Jacobian entries send the step to a damped one; three of
+    # these frameworks oscillate and are refused, with the same text
+    cfg = SolverConfig(epsilon=1e-17, max_iter=200)
+    frameworks = [two_cycle(), clique(3), *seeded_frameworks()[::9]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = [outcome(ref_saf, f, cfg) for f in frameworks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [outcome(saf_scores, f, cfg) for f in frameworks] == expected

@@ -3,6 +3,7 @@ witness shrinking."""
 
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,25 @@ def test_matrix_solves_each_ranking_once_per_pair(monkeypatch):
     report = build_matrix([cycle], [SemanticsRef("cat", SolverConfig(max_iter=2))])
     assert sum(cell.inconclusive for cell in report.cells.values()) > 0
     assert len(solves) == len({framework for _, framework in solves}) == 3
+
+
+def test_matrix_solves_cat_and_saf_through_their_public_names(monkeypatch):
+    solves, misses = Counter(), Counter()
+    for sid, name in (("cat", "categoriser_scores"), ("saf", "saf_scores")):
+        solve = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda framework, cfg, sid=sid, solve=solve:
+                            solves.update([sid]) or solve(framework, cfg))
+    memo = axioms._ranking_or_verdict
+    monkeypatch.setattr(axioms, "_ranking_or_verdict",
+                        lambda sem, framework: misses.update([sem.sid]) or memo(sem, framework))
+    corpus = list(itertools.islice(gen_random(GenSpec((2, 6), 0.3, seed=3)), 8))
+    build_matrix(corpus, [SemanticsRef("cat"), SemanticsRef("saf")])
+    assert misses["cat"] > len(corpus) and misses["saf"] > len(corpus)
+    assert solves == misses, (
+        "perfbench's residual gate checks the scores returned by "
+        "semantics.categoriser_scores and saf_scores, so every cat and saf solve "
+        "must go through them, one framework per call; only ROADMAP item 1 "
+        "(the tracer repair) may change that")
 
 
 @pytest.mark.parametrize("sid", ["dbs", "bbs"])
