@@ -1,11 +1,10 @@
 """The Newton fixed-point solver against the three-stage damping ladder it
-replaced, and against its own first form (one numpy call per operation,
-before the Jacobian positions were computed once per solve); both are kept
-here as reference implementations."""
+replaced, and against its own first form (before the Jacobian positions
+were computed once per solve), which it must match float for float; both
+are kept here as reference implementations."""
 
 import random
 import warnings
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -306,8 +305,8 @@ def test_refusals_equal_the_first_form_exactly(monkeypatch, sid, solve, referenc
 
 def test_saf_at_tau_one_warns_nothing():
     # epsilon 1e-17 rounds tau to 1.0: log1p(-1) = -inf is the intended value
-    # and the nan Jacobian entries send the step to a damped one; three of
-    # these frameworks oscillate and are refused, with the same text
+    # and the nan Jacobian entries send the step to a damped one; a few of
+    # these frameworks creep and are refused, with the same text
     cfg = SolverConfig(epsilon=1e-17, max_iter=200)
     frameworks = [two_cycle(), clique(3), *seeded_frameworks()[::9]]
     with warnings.catch_warnings():
