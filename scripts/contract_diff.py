@@ -19,14 +19,21 @@ tests/data/acyclic120.apx, and six seeded ``gen_random`` frameworks of
 (the tuples inputs), written once by this checkout.  Each request whose
 exit status, stdout or stderr differs is printed, then one summary line.
 
-The exit status is 1 when any seed or rank request differs, and 0 when
-every output is byte-identical.
+Last, ``rankarg check FILE PROP SID`` runs for every property under every
+semantics on the same inputs.  One driver process per tree calls
+``rankarg.cli.main`` for each request in turn (the two trees side by side),
+so the interpreter starts twice, not once per request.  Each request whose
+exit status or stdout differs is printed, then one summary line.
+
+The exit status is 1 when any seed, rank or check request differs, and 0
+when every output is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +43,7 @@ from pathlib import Path
 from bench_pairs import ROOT, export
 
 sys.path.insert(0, str(ROOT / "src"))
+from rankarg.axioms import PROPERTY_ORDER  # noqa: E402
 from rankarg.framework import serialize_apx  # noqa: E402
 from rankarg.fuzz import GenSpec, gen_random  # noqa: E402
 from rankarg.semantics import SEMANTICS_IDS  # noqa: E402
@@ -102,10 +110,10 @@ def start_rank(tree: Path, path: Path, sid: str) -> subprocess.Popen:
                             cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def compare_ranks(base_tree: Path, tmp: Path) -> tuple[list[str], int]:
+def compare_ranks(base_tree: Path, inputs: list[Path]) -> tuple[list[str], int]:
     """(one line per differing rank request, requests made)."""
     lines, requests = [], 0
-    for path in rank_inputs(tmp):
+    for path in inputs:
         for sid in SEMANTICS_IDS:
             runs = [start_rank(tree, path, sid) for tree in (base_tree, ROOT)]
             base, change = [(proc.communicate(), proc.returncode) for proc in runs]
@@ -114,6 +122,45 @@ def compare_ranks(base_tree: Path, tmp: Path) -> tuple[list[str], int]:
                 lines.append(f"differs: rank {path.name} {sid} --format json "
                              f"(exit {base[1]} vs {change[1]})")
     return lines, requests
+
+
+#: Reads a JSON list of argument lists on stdin and prints, per list, the
+#: JSON [exit status, stdout] of ``rankarg.cli.main`` on it.
+CHECK_DRIVER = """
+import contextlib, io, json, sys
+from rankarg.cli import main
+for args in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, out.getvalue()]), flush=True)
+"""
+
+
+def compare_checks(base_tree: Path, inputs: list[Path], tmp: Path) -> tuple[list[str], int]:
+    """(one line per differing check request, requests made)."""
+    requests = [["check", str(path), prop.value, sid]
+                for path in inputs for sid in SEMANTICS_IDS for prop in PROPERTY_ORDER]
+    (tmp / "checks.json").write_text(json.dumps(requests))
+    runs = []
+    for side, tree in (("base", base_tree), ("change", ROOT)):
+        with (open(tmp / "checks.json") as stdin, open(tmp / f"{side}-checks.out", "w") as out,
+              open(tmp / f"{side}-checks.err", "w") as err):
+            runs.append(subprocess.Popen([sys.executable, "-c", CHECK_DRIVER], cwd=tree,
+                                         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                                         stdin=stdin, stdout=out, stderr=err))
+    outputs = []
+    for proc, side in zip(runs, ("base", "change")):
+        if proc.wait():
+            raise SystemExit(f"the check driver in the {side} tree exited {proc.returncode}:\n"
+                             + (tmp / f"{side}-checks.err").read_text())
+        outputs.append([json.loads(line) for line in (tmp / f"{side}-checks.out").open()])
+    lines = [f"differs: check {Path(path).name} {prop} {sid} (exit {base[0]} vs {change[0]})"
+             for (_, path, prop, sid), base, change in zip(requests, *outputs) if base != change]
+    return lines, len(requests)
 
 
 def main(argv=None) -> int:
@@ -135,11 +182,19 @@ def main(argv=None) -> int:
                   else f"identical: {count} files, fuzz --seed {seed}, {args.base} vs this checkout",
                   flush=True)
             differ = differ or bool(lines)
-        lines, requests = compare_ranks(tmp / "base", tmp)
+        inputs = rank_inputs(tmp)
+        lines, requests = compare_ranks(tmp / "base", inputs)
         for line in lines:
             print(line)
         print(f"rank --format json: {len(lines)} of {requests} requests differ" if lines
               else f"identical: {requests} rank --format json requests, {args.base} vs this checkout",
+              flush=True)
+        differ = differ or bool(lines)
+        lines, requests = compare_checks(tmp / "base", inputs, tmp)
+        for line in lines:
+            print(line)
+        print(f"check: {len(lines)} of {requests} requests differ" if lines
+              else f"identical: {requests} check requests, {args.base} vs this checkout",
               flush=True)
         differ = differ or bool(lines)
     return 1 if differ else 0

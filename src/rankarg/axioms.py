@@ -9,11 +9,12 @@ properties); a clean pass is evidence, never a proof.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
-from itertools import chain, combinations, product
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable
 
 from .catalog import figure2
@@ -176,10 +177,15 @@ class EvalContext:
 
     ``rank(sem, f)`` memoises, per (SemanticsRef, ArgFramework) key, the
     (ranking, stop verdict) pair of that solve; a refused solve is stored
-    too.  The constructions the checks build from ``framework`` -- the Abs
-    renamings per seed, F union a fresh clone of F, the grafts on it per
-    (target, kind) and the connected components -- are built once, when
-    first asked for.  The caller creates one context per framework, hands
+    too.  The premise classes of the pair rules that do not read the
+    ranking, and the constructions the checks build from ``framework`` --
+    the Abs renamings per seed, F union a fresh clone of F, the grafts on it
+    per (target, kind) and the connected components -- are built once, when
+    first asked for, and shared by every semantics.  A pair rule's verdict
+    depends on the framework's ranking alone, so ``decision`` keeps it per
+    rule and distinct ranking, and semantics that rank the framework alike
+    share it; ``group_table`` keeps the group comparisons CT and SCT made
+    under a ranking.  The caller creates one context per framework, hands
     it to every check of that framework, and drops it when done, so memory
     does not grow with the corpus.
     """
@@ -187,14 +193,39 @@ class EvalContext:
     def __init__(self, framework: ArgFramework):
         self.framework = framework
         self._rankings: dict = {}
+        self._premises: dict = {}
+        self._decisions: dict = {}
+        self._group_tables: dict = {}
         self._renamings: dict[int, list[tuple[dict[str, str], ArgFramework]]] = {}
         self._grafts: dict[tuple[str, str], tuple[ArgFramework, dict[str, str]]] = {}
 
     def rank(self, sem: SemanticsRef, f: ArgFramework):
         key = (sem, f)
-        if key not in self._rankings:
-            self._rankings[key] = _ranking_or_verdict(sem, f)
-        return self._rankings[key]
+        found = self._rankings.get(key)
+        if found is None:
+            found = self._rankings[key] = _ranking_or_verdict(sem, f)
+        return found
+
+    def premise(self, build):
+        """``build(self)``: the classes of a premise that does not read the
+        ranking, built on the first request."""
+        found = self._premises.get(build)
+        if found is None:
+            found = self._premises[build] = build(self)
+        return found
+
+    def decision(self, rule: "PairRule", ranking: Ranking) -> PropertyVerdict:
+        """``rule.decide(self, ranking)``, made once per rule and distinct ranking."""
+        key = (rule.premise, ranking)
+        found = self._decisions.get(key)
+        if found is None:
+            found = self._decisions[key] = rule.decide(self, ranking)
+        return found
+
+    def group_table(self, ranking: Ranking) -> dict:
+        """(s1, s2) -> group_geq(s1, s2) under ``ranking``, filled by CT and
+        read by SCT."""
+        return self._group_tables.setdefault(ranking, {})
 
     @cached_property
     def components(self) -> list[ArgFramework]:
@@ -253,46 +284,72 @@ def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
 
 @dataclass(frozen=True)
 class PairRule:
-    """A property that demands ``relation(ranking, a, b)`` of each premise pair.
+    """A property that demands a relation of each premise pair (a, b).
 
-    ``premise(framework, ranking)`` yields the ordered pairs (a, b) in the
-    order they are checked, or returns the reason the property does not
-    apply.  It receives the ranking only when ``reads_ranking`` is set, and
-    None otherwise.  ``na`` is the reason given when no pair is yielded, and
-    ``note(framework, ranking, a, b)`` explains the first refused pair.
+    The premise gives its pairs by classes, as (partners, rows): each
+    partner set is a tuple of arguments in name order, and a row (a, i)
+    pairs a with every argument b != a of partners[i].  The rows come in the
+    order they are checked, and within a row b goes in name order.  A
+    premise that does not read the ranking is ``premise(context)``, built
+    once per context (``EvalContext.premise``); one that does, flagged by
+    ``reads_ranking``, is ``premise(context, ranking, table)`` with the
+    context's group-comparison table for the ranking.  Either may return
+    the reason the property does not apply instead.  ``relation(ranking, a,
+    span)`` is a class query (``Ranking.strict_all`` and the like) over a
+    span of ``Ranking.span``; ``na`` is the reason given when there are no
+    rows, and ``note(framework, ranking, a, b)`` explains the first refused
+    pair.
     """
 
     premise: Callable
     reads_ranking: bool
-    relation: Callable[[Ranking, str, str], bool]
+    relation: Callable[[Ranking, str, object], bool]
     na: str
     note: Callable[[ArgFramework, Ranking, str, str], str]
 
     def __call__(self, context: EvalContext, sem: SemanticsRef, _seed: int) -> PropertyVerdict:
         """The first premise pair the ranking refuses is the witness.
 
-        A structural premise is evaluated before the solve, so a premise that
+        Each row is decided with one class query over its partner set; only
+        the first row refused is walked pair by pair, to name that pair.  A
+        structural premise is evaluated before the solve, so a premise that
         never fires is NotApplicable even where the semantics cannot rank.
+        Semantics that rank the framework alike share the decision
+        (``EvalContext.decision``).
         """
-        framework = context.framework
-        ranking = None
+        if not self.reads_ranking:
+            unfit = self._inapplicable(context.premise(self.premise))
+            if unfit:
+                return unfit
+        ranking, stop = context.rank(sem, context.framework)
+        if stop:
+            return stop
+        return context.decision(self, ranking)
+
+    def _inapplicable(self, premise) -> PropertyVerdict | None:
+        if isinstance(premise, str):
+            return _na(premise)
+        return None if premise[1] else _na(self.na)
+
+    def decide(self, context: EvalContext, ranking: Ranking) -> PropertyVerdict:
+        """The verdict under ``ranking``, whatever semantics produced it."""
         if self.reads_ranking:
-            ranking, stop = context.rank(sem, framework)
-            if stop:
-                return stop
-        pairs = self.premise(framework, ranking)
-        if isinstance(pairs, str):
-            return _na(pairs)
-        first = next(pairs, None)
-        if first is None:
-            return _na(self.na)
-        if ranking is None:
-            ranking, stop = context.rank(sem, framework)
-            if stop:
-                return stop
-        for a, b in chain([first], pairs):
-            if not self.relation(ranking, a, b):
-                return _violated(framework, (a, b), self.note(framework, ranking, a, b))
+            premise = self.premise(context, ranking, context.group_table(ranking))
+        else:
+            premise = context.premise(self.premise)
+        unfit = self._inapplicable(premise)
+        if unfit:
+            return unfit
+        framework = context.framework
+        partners, rows = premise
+        relation = self.relation
+        spans = [ranking.span(group) for group in partners]
+        for a, i in rows:
+            if relation(ranking, a, spans[i]):
+                continue
+            for b in partners[i]:
+                if b != a and not relation(ranking, a, ranking.span((b,))):
+                    return _violated(framework, (a, b), self.note(framework, ranking, a, b))
         return _holds()
 
 
@@ -344,74 +401,132 @@ def _pure_roots(attack: bool):
                       for b in sorted(offense - defense if attack else defense - offense))
 
 
-def _vp_premise(framework, _):
-    unattacked = framework.unattacked()
-    return product(sorted(unattacked), sorted(framework.arguments - unattacked))
+def _classes(names, key):
+    """(keys, members, rows): the distinct values of key(a) in order of
+    first appearance, the arguments of each in name order, and (a, index of
+    key(a)) per argument in name order."""
+    index: dict = {}
+    members: list[list[str]] = []
+    rows = []
+    for a in sorted(names):
+        k = key(a)
+        if k not in index:
+            index[k] = len(members)
+            members.append([])
+        members[index[k]].append(a)
+        rows.append((a, index[k]))
+    return list(index), members, rows
 
 
-def _sc_premise(framework, _):
-    selfish = framework.self_attacking()
-    return product(sorted(framework.arguments - selfish), sorted(selfish))
+def _class_rows(classes, partners):
+    """(partners, rows) of the premise that pairs a with b != a exactly when
+    ``partners(key(a), key(b))``, over ``_classes(names, key)``: one partner
+    set per key, and a row per argument with a partner, in name order.
+    ``partners`` is asked once per pair of keys."""
+    keys, members, rows = classes
+    sets = []
+    for k in keys:
+        fires = [group for other, group in zip(keys, members) if partners(k, other)]
+        sets.append(tuple(fires[0]) if len(fires) == 1 else tuple(sorted(chain.from_iterable(fires))))
+    return sets, [(a, i) for a, i in rows if sets[i] not in ((), (a,))]
 
 
-def _cp_premise(framework, _):
-    return ((a, b) for a, b in _pairs(framework.arguments)
-            if len(framework.attackers(a)) < len(framework.attackers(b)))
+def _attacker_classes(context):
+    """The arguments classed by their attacker sets (CT, SCT and QP)."""
+    return _classes(context.framework.arguments, context.framework.attackers)
+
+
+def _vp_premise(context):
+    f = context.framework
+    return _class_rows(_classes(f.arguments, f.is_attacked), lambda ka, kb: not ka and kb)
+
+
+def _sc_premise(context):
+    f = context.framework
+    return _class_rows(_classes(f.arguments, f.self_attacking().__contains__),
+                       lambda ka, kb: not ka and kb)
+
+
+def _cp_premise(context):
+    f = context.framework
+    return _class_rows(_classes(f.arguments, lambda a: len(f.attackers(a))), operator.lt)
 
 
 def _dominators(framework, ranking, a, b):
     """Attackers of b strictly above every attacker of a."""
-    att_a = framework.attackers(a)
-    return [c for c in framework.attackers(b) if all(ranking.strict(c, d) for d in att_a)]
+    span = ranking.span(framework.attackers(a))
+    return [c for c in framework.attackers(b) if ranking.strict_all(c, span)]
 
 
-def _qp_premise(framework, ranking):
+def _qp_premise(context, ranking, _table):
     # the dominated side must actually have attackers to dominate; reading
     # the empty case as vacuous would fold VP into QP
-    return ((a, b) for a, b in _pairs(framework.arguments)
-            if framework.attackers(a) and _dominators(framework, ranking, a, b))
+    classes = context.premise(_attacker_classes)
+    spans = {attackers: ranking.span(attackers) for attackers in classes[0]}
+    return _class_rows(classes, lambda ka, kb: bool(ka) and ranking.any_above_all(spans[kb], spans[ka]))
 
 
 def _group_premise(strict):
-    def premise(framework, ranking):
-        compare = group_gt if strict else group_geq
-        attackers = {a: framework.attackers(a) for a in framework.arguments}
-        # each distinct (attackers of b, attackers of a) pair is compared once
-        holds = cache(lambda s1, s2: compare(s1, s2, ranking))
-        return ((a, b) for a, b in _pairs(framework.arguments) if holds(attackers[b], attackers[a]))
+    """CT (SCT): b is a partner of a when the attackers of b win the weak
+    (strict) group comparison against the attackers of a.  Each distinct
+    pair of attacker sets is compared once per ranking: CT fills the table,
+    and SCT reads s1 > s2 off it as s1 >= s2 and not s2 >= s1 where it can.
+    A pair with s2 inside s1 holds by the identity, and one with a larger s2
+    fails on sizes, without a comparison."""
+    def premise(context, ranking, table):
+        def beaten_by(s2, s1):  # s1 >= s2, as the table holds it
+            if (s1, s2) not in table:
+                table[s1, s2] = s2 <= s1 or len(s1) >= len(s2) and group_geq(s1, s2, ranking)
+            return table[s1, s2]
+
+        def strictly_beaten_by(s2, s1):  # s1 > s2
+            if (s1, s2) in table and (s2, s1) in table:
+                return table[s1, s2] and not table[s2, s1]
+            return group_gt(s1, s2, ranking)
+
+        return _class_rows(context.premise(_attacker_classes),
+                           strictly_beaten_by if strict else beaten_by)
     return premise
 
 
-def _dp_premise(framework, _):
-    table = walk_counts(framework, 2)
-    defended = {a for a in framework.arguments if table.count_in(a, 2) > 0}
-    return ((a, b) for a, b in _pairs(framework.arguments)
-            if len(framework.attackers(a)) == len(framework.attackers(b))
-            and a in defended and b not in defended)
+def _dp_premise(context):
+    f = context.framework
+    table = walk_counts(f, 2)
+    return _class_rows(_classes(f.arguments, lambda a: (len(f.attackers(a)),
+                                                        table.count_in(a, 2) > 0)),
+                       lambda ka, kb: ka[0] == kb[0] and ka[1] and not kb[1])
 
 
-def _ddp_premise(framework, _):
-    table = walk_counts(framework, 2)
-    for a, b in _pairs(framework.arguments):
-        if len(framework.attackers(a)) != len(framework.attackers(b)):
-            continue
-        if table.count_in(a, 2) != table.count_in(b, 2):
-            continue
-        if (defense_is_simple(framework, a) and defense_is_distributed(framework, a)
-                and defense_is_simple(framework, b) and not defense_is_distributed(framework, b)):
-            yield a, b
+def _ddp_premise(context):
+    f = context.framework
+    table = walk_counts(f, 2)
+
+    def key(a):
+        return (len(f.attackers(a)), table.count_in(a, 2),
+                defense_is_simple(f, a), defense_is_distributed(f, a))
+
+    return _class_rows(_classes(f.arguments, key), lambda ka, kb: ka[:2] == kb[:2] and ka[2]
+                       and ka[3] and kb[2] and not kb[3])
 
 
-def _avsfd_premise(framework, _):
+def _avsfd_premise(context):
+    f = context.framework
     try:
-        profiles = branch_profiles(framework)
+        profiles = branch_profiles(f)
     except CyclicFrameworkError:
         return "premise requires an acyclic framework"
-    table = walk_counts(framework, 2)
-    no_attack_branch = [a for a in sorted(framework.arguments) if not profiles[a].attack_lengths]
-    lone_target = [b for b in sorted(framework.arguments)
-                   if len(framework.attackers(b)) == 1 and table.count_in(b, 2) == 0]
-    return ((a, b) for a in no_attack_branch for b in lone_target if a != b)
+    table = walk_counts(f, 2)
+
+    def key(a):  # (no attack branch, one unattacked attacker)
+        return (not profiles[a].attack_lengths,
+                len(f.attackers(a)) == 1 and table.count_in(a, 2) == 0)
+
+    return _class_rows(_classes(f.arguments, key), lambda ka, kb: ka[0] and kb[1])
+
+
+def _everyone(names):
+    """Every argument paired with every other, as one class."""
+    return _class_rows(_classes(names, lambda a: None), lambda ka, kb: True)
 
 
 def _check_in(context, sem, _seed):
@@ -427,6 +542,8 @@ def _check_in(context, sem, _seed):
         part, stop = context.rank(pinned, comp)
         if stop:
             return stop
+        if part.same_order(whole):
+            continue
         for a, b in _pairs(comp.arguments):
             if part.geq(a, b) and not whole.geq(a, b):
                 return _violated(context.framework, (a, b),
@@ -444,6 +561,8 @@ def _check_abs(context, sem, seed):
         other, stop = context.rank(sem, renamed)
         if stop:
             return stop
+        if ranking.same_order(other, gamma):
+            continue
         for a, b in _pairs(names):
             if ranking.geq(a, b) != other.geq(gamma[a], gamma[b]):
                 return _violated(framework, (a, b), f"order of ({a},{b}) changed under renaming")
@@ -455,37 +574,37 @@ _CHECKERS = {
     PropertyId.ABS: _check_abs,
     PropertyId.IN: _check_in,
     PropertyId.VP: PairRule(
-        _vp_premise, False, Ranking.strict,
+        _vp_premise, False, Ranking.strict_all,
         "needs both unattacked and attacked arguments",
         lambda f, r, a, b: f"unattacked {a} not strictly above attacked {b}"),
     PropertyId.DP: PairRule(
-        _dp_premise, False, Ranking.strict,
+        _dp_premise, False, Ranking.strict_all,
         "no equal-attack pair splitting on defense",
         lambda f, r, a, b: f"defended {a} not strictly above undefended {b}"),
     PropertyId.CT: PairRule(
-        _group_premise(strict=False), True, Ranking.geq,
+        _group_premise(strict=False), True, Ranking.geq_all,
         "group-comparison premise never fires",
         lambda f, r, a, b: f"attackers of {b} win the group comparison against attackers of {a}"),
     PropertyId.SCT: PairRule(
-        _group_premise(strict=True), True, Ranking.strict,
+        _group_premise(strict=True), True, Ranking.strict_all,
         "group-comparison premise never fires",
         lambda f, r, a, b: f"attackers of {b} win the strict group comparison "
                            f"against attackers of {a}"),
     PropertyId.CP: PairRule(
-        _cp_premise, False, Ranking.strict,
+        _cp_premise, False, Ranking.strict_all,
         "no pair with strictly fewer direct attackers",
         lambda f, r, a, b: f"{a} has fewer attackers than {b} but is not strictly above"),
     PropertyId.QP: PairRule(
-        _qp_premise, True, Ranking.strict,
+        _qp_premise, True, Ranking.strict_all,
         "no pair with a dominating attacker",
         lambda f, r, a, b: f"attacker {min(_dominators(f, r, a, b))} of {b} beats every "
                            f"attacker of {a}, yet {a} is not strictly above {b}"),
     PropertyId.DDP: PairRule(
-        _ddp_premise, False, Ranking.strict,
+        _ddp_premise, False, Ranking.strict_all,
         "no simple/distributed split with matching counts",
         lambda f, r, a, b: f"distributed defense of {a} not rewarded over {b}"),
     PropertyId.SC: PairRule(
-        _sc_premise, False, Ranking.strict,
+        _sc_premise, False, Ranking.strict_all,
         "needs both self-attacking and non-self-attacking arguments",
         lambda f, r, a, b: f"{a} not strictly above self-attacker {b}"),
     PropertyId.PLUS_DB_STRICT: GraftRule(
@@ -504,16 +623,15 @@ _CHECKERS = {
         lambda f: ((a, a) for a in sorted(f.arguments)), "attack", False,
         "no argument satisfies the premise", "grafting an attack branch onto the copy of {a}"),
     PropertyId.TOT: PairRule(
-        lambda f, _: _pairs(f.arguments), False,
-        lambda r, a, b: not r.incomparable(a, b),
+        lambda context: _everyone(context.framework.arguments), False, Ranking.comparable_all,
         "needs at least two arguments",
         lambda f, r, a, b: f"{a} and {b} are incomparable"),
     PropertyId.NAE: PairRule(
-        lambda f, _: combinations(sorted(f.unattacked()), 2), False, Ranking.equivalent,
+        lambda context: _everyone(context.framework.unattacked()), False, Ranking.equivalent_all,
         "fewer than two unattacked arguments",
         lambda f, r, a, b: f"unattacked {a} and {b} not equivalent"),
     PropertyId.AVSFD: PairRule(
-        _avsfd_premise, False, Ranking.strict,
+        _avsfd_premise, False, Ranking.strict_all,
         "no (fully defended, singly attacked) pair",
         lambda f, r, a, b: f"attack-branch-free {a} not above singly-attacked {b}"),
 }
@@ -595,9 +713,15 @@ def _count_ranking(framework: ArgFramework) -> Ranking:
 
 def _forced_pairs(prop: PropertyId, framework: ArgFramework) -> set[tuple[str, str]]:
     """The pairs the premise of a pair-rule property demands on ``framework``,
-    with any ranking it reads taken to be the one CP forces."""
-    pairs = _CHECKERS[prop].premise(framework, _count_ranking(framework))
-    return set() if isinstance(pairs, str) else set(pairs)
+    with any ranking it reads taken to be the one CP forces: its classes
+    expanded to argument pairs."""
+    rule, context = _CHECKERS[prop], EvalContext(framework)
+    premise = (rule.premise(context, _count_ranking(framework), {}) if rule.reads_ranking
+               else rule.premise(context))
+    if isinstance(premise, str):
+        return set()
+    partners, rows = premise
+    return {(a, b) for a, i in rows for b in partners[i] if b != a}
 
 
 def incompatibility_witness(pair: Iterable[PropertyId]) -> IncompatibilityWitness:

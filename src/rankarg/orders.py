@@ -14,7 +14,14 @@ class Ranking:
 
     ``geq(a, b)`` means *a is at least as acceptable as b*.  Derived
     relations: ``strict`` (geq one way only), ``equivalent`` (both ways),
-    ``incomparable`` (neither).
+    ``incomparable`` (neither).  The class queries ask one argument against
+    every argument of a group at once: ``span(group)`` summarises the
+    group's classes, and ``geq_all``, ``strict_all``, ``equivalent_all``
+    and ``comparable_all`` decide a against the whole span with one level
+    comparison on a total preorder, or one down-set test on a partial one;
+    ``any_above_all`` asks it of the best of one span against another.
+    ``same_order`` compares two rankings class by class.  Equal rankings
+    hash alike, so a ranking can key what is derived from it alone.
 
     A ranking is stored once, at construction, as its classes: the
     equivalence classes in topological order (better classes first; among
@@ -35,7 +42,7 @@ class Ranking:
     with the pairs between groups, not between arguments.
     """
 
-    __slots__ = ("arguments", "_classes", "_level", "_down", "_total")
+    __slots__ = ("arguments", "_classes", "_level", "_down", "_total", "_hash")
 
     @classmethod
     def from_groups(cls, groups: Sequence[Sequence[str]],
@@ -96,6 +103,7 @@ class Ranking:
         self._classes = tuple(classes)
         self._level = {a: i for i, level in enumerate(classes) for a in level}
         self._total = down is None
+        self._hash = None
         k = len(classes)
         self._down = tuple(range(i, k) for i in range(k)) if down is None else tuple(down)
         self.arguments: tuple[str, ...] = tuple(sorted(self._level))
@@ -125,6 +133,70 @@ class Ranking:
     def is_total(self) -> bool:
         return self._total
 
+    def span(self, names: Iterable[str]):
+        """The classes of ``names`` as the ``*_all`` queries read them: the
+        best and worst class index, (k, -1) for no names, on a total
+        preorder of k classes; the set of class indices on a partial one."""
+        try:
+            levels = [self._level[a] for a in names]
+        except KeyError as exc:
+            raise ValueError(f"unknown argument {exc.args[0]}") from None
+        if self._total:
+            return min(levels, default=len(self._classes)), max(levels, default=-1)
+        return frozenset(levels)
+
+    def geq_all(self, a: str, span) -> bool:
+        """a is at least as good as every argument of ``span``."""
+        level = self._level[a]
+        return level <= span[0] if self._total else span <= self._down[level]
+
+    def strict_all(self, a: str, span) -> bool:
+        """a is strictly above every argument of ``span``."""
+        level = self._level[a]
+        if self._total:
+            return level < span[0]
+        return level not in span and span <= self._down[level]
+
+    def equivalent_all(self, a: str, span) -> bool:
+        """a is equivalent to every argument of ``span``."""
+        level = self._level[a]
+        return span[0] >= level >= span[1] if self._total else span <= {level}
+
+    def any_above_all(self, span, other) -> bool:
+        """Some argument of ``span`` is strictly above every argument of ``other``."""
+        if self._total:
+            return span[0] < other[0]
+        down = self._down
+        return any(level not in other and other <= down[level] for level in span)
+
+    def comparable_all(self, a: str, span) -> bool:
+        """a is comparable with every argument of ``span``."""
+        if self._total:
+            return True
+        level, down = self._level[a], self._down
+        return all(j in down[level] or level in down[j] for j in span)
+
+    def same_order(self, other: "Ranking", image: Mapping[str, str] | None = None) -> bool:
+        """Whether ``other`` orders the images of this ranking's arguments
+        under ``image`` (the arguments themselves by default) as this
+        ranking orders the arguments: every class lands inside one class of
+        ``other``, distinct classes in distinct ones, and the down-sets
+        correspond.  O(n) on two total preorders, where the landing class
+        indices must rise with the class order."""
+        level = other._level
+        landed = []
+        for members in self._classes:
+            found = {level[image[a] if image else a] for a in members}
+            if len(found) != 1:
+                return False
+            landed.extend(found)
+        if self._total and other._total:
+            return all(i < j for i, j in zip(landed, landed[1:]))
+        position = {j: i for i, j in enumerate(landed)}
+        return len(position) == len(landed) and all(
+            {position[j] for j in other._down[landed[i]] if j in position} == set(below)
+            for i, below in enumerate(self._down))
+
     def incomparable_pairs(self) -> list[tuple[str, str]]:
         if self._total:
             return []
@@ -149,22 +221,38 @@ class Ranking:
         # preorder stores ranges as its down-sets.
         return self._classes == other._classes and self._down == other._down
 
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._classes, self._down))
+        return self._hash
+
     def __repr__(self) -> str:
         parts = [" = ".join(sorted(c)) for c in self._classes]
         return f"Ranking({' > '.join(parts)})"
 
 
 def group_geq(s1: Iterable[str], s2: Iterable[str], ranking: Ranking) -> bool:
-    """True iff some injective f: s2 -> s1 has f(a) at least as good as a:
-    an augmenting-path search for a matching that covers s2.
+    """True iff some injective f: s2 -> s1 has f(a) at least as good as a.
 
-    Each argument of s2 takes a free candidate when it has one, and only
-    otherwise searches depth first for a path that displaces others.  The
-    search runs on an explicit stack, since a path may be as long as s2."""
-    left = sorted(set(s2))
-    right = sorted(set(s1))
+    On a total preorder the candidates of the arguments of s2 are nested
+    (those of a worse argument include those of a better one), so Hall's
+    condition reduces to the sorted class levels: the i-th best of s1 must
+    be at least as good as the i-th best of s2, for every i < |s2|.
+
+    On a partial preorder it is an augmenting-path search for a matching
+    that covers s2.  Each argument of s2 takes a free candidate when it has
+    one, and only otherwise searches depth first for a path that displaces
+    others.  The search runs on an explicit stack, since a path may be as
+    long as s2."""
+    left = set(s2)
+    right = set(s1)
     if len(left) > len(right):
         return False
+    if ranking.is_total():
+        level = ranking._level
+        return all(i <= j for i, j in zip(sorted(level[b] for b in right),
+                                          sorted(level[a] for a in left)))
+    left, right = sorted(left), sorted(right)
     edge = {a: [b for b in right if ranking.geq(b, a)] for a in left}
     match_right: dict[str, str] = {}
     for root in left:

@@ -252,8 +252,10 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
     aggregation is 0, so unattacked arguments sit at tau.
 
     If tau rounds to 1.0, an attacker at 1.0 gives log1p(-1) = -inf (its
-    target scores 0, as intended) and a nan Jacobian entry (the step is
-    damped instead); numpy's warnings for both are silenced.
+    target scores 0, as intended), and its Jacobian entry, the quotient
+    F[dst] / (1 - x[src]), is 0/0; there the entry is tau times the product
+    of (1 - x) over the target's other attackers, its value at any x.
+    numpy's warnings are silenced.
     """
     tau = 1.0 / (1.0 + cfg.epsilon)
 
@@ -261,7 +263,14 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
         return tau * np.exp(np.bincount(dst, weights=np.log1p(-x[src]), minlength=len(x)))
 
     def slopes(x, fx, src, dst):
-        return fx[dst] / (1.0 - x[src])
+        gap = 1.0 - x[src]
+        out = fx[dst] / gap
+        if tau == 1.0:  # only then can an attacker sit at 1.0
+            for k in np.flatnonzero(gap == 0.0):
+                others = dst == dst[k]
+                others[k] = False
+                out[k] = tau * np.prod(gap[others])
+        return out
 
     with np.errstate(divide="ignore", invalid="ignore"):
         return _solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")

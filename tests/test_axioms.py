@@ -2,6 +2,7 @@
 examples, change-property constructions, and the incompatibility witnesses."""
 
 from dataclasses import replace
+from functools import wraps
 from itertools import chain
 
 import pytest
@@ -35,6 +36,7 @@ from rankarg.axioms import (
 from rankarg.catalog import bundled, figure2
 from rankarg.framework import ArgFramework
 from rankarg.fuzz import enumerate_all
+from rankarg.orders import Ranking
 from rankarg.semantics import SemanticsRef, SolverConfig
 
 CAT = SemanticsRef("cat")
@@ -168,6 +170,54 @@ def test_group_premise_compares_each_attacker_set_pair_once(prop, compare, monke
     monkeypatch.setattr(axioms, compare, counted)
     assert check(prop, f, SemanticsRef("grounded")).status is VerdictStatus.HOLDS
     assert 0 < len(calls) == len(set(calls)) <= 9
+
+
+def wide(n):
+    """n unattacked arguments u_i beside x0, x1, x2 -> a -> b."""
+    us = [f"u{i}" for i in range(n)]
+    return ArgFramework.make([*us, "x0", "x1", "x2", "a", "b"],
+                             [("x0", "a"), ("x1", "a"), ("x2", "a"), ("a", "b")])
+
+
+#: Every Ranking method the checker may ask; ``span`` also counts the
+#: arguments it reads.
+RANKING_QUERIES = ("geq", "strict", "equivalent", "incomparable", "is_total", "span", "geq_all",
+                   "strict_all", "equivalent_all", "comparable_all", "any_above_all", "same_order",
+                   "equivalence_classes", "incomparable_pairs")
+
+
+@pytest.mark.parametrize("prop", [PropertyId.CT, PropertyId.SCT, PropertyId.TOT, PropertyId.NAE,
+                                  PropertyId.VP, PropertyId.ABS])
+def test_wide_checks_ask_the_ranking_linearly_often(prop, monkeypatch):
+    # a pair walk would ask about n^2 times; doubling the unattacked
+    # arguments may at most double the queries
+    reads = [0]
+
+    def counted(method, weight=lambda *args: 0):
+        @wraps(method)
+        def wrapper(*args):
+            reads[0] += 1 + weight(*args)
+            return method(*args)
+        return wrapper
+
+    for name in RANKING_QUERIES:
+        method = getattr(Ranking, name)
+        weight = (lambda self, names: len(names)) if name == "span" else (lambda *args: 0)
+        monkeypatch.setattr(Ranking, name, counted(method, weight))
+    rule = _CHECKERS[prop]
+    if hasattr(rule, "relation"):  # the rule holds the class query it was built with
+        monkeypatch.setitem(_CHECKERS, prop, replace(rule, relation=counted(rule.relation)))
+    for compare in ("group_geq", "group_gt"):
+        monkeypatch.setattr(axioms, compare, counted(getattr(axioms, compare),
+                                                     lambda s1, s2, _: len(s1) + len(s2)))
+
+    def queries(n):
+        reads[0] = 0
+        check(prop, wide(n), SemanticsRef("grounded"))
+        return reads[0]
+
+    small, large = queries(1100), queries(2200)
+    assert 0 < large <= 2 * small + 50, (small, large)
 
 
 def test_grounded_vp_violated_on_example1(ex1):

@@ -121,6 +121,17 @@ def test_rank_saf_at_tau_one_exits_0_with_empty_stderr():
     assert done.stdout == "b = e > a = c = d\n"
 
 
+def test_rank_saf_at_tau_one_solves_an_attacker_at_one(tmp_path, capsys):
+    # the first form's nan slope refused every Newton step here, and the
+    # damped steps ended in exit 3 after --max-iter steps
+    from rankarg.fuzz import GenSpec, gen_random
+
+    path = tmp_path / "creeps.apx"
+    path.write_text(serialize_apx(next(gen_random(GenSpec((15, 15), 0.15, seed=3)))))
+    assert main(["rank", str(path), "saf", "--epsilon", "1e-17"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--max-iter", "-1"),
     ("--lex-depth", "0"), ("--mt-cap", "-1"), ("--epsilon", "0"),

@@ -62,6 +62,26 @@ def random_preorder(rng, names):
     return pair_ranking(names, pairs)
 
 
+def random_total_preorder(rng, names):
+    """Random classes, listed best first."""
+    k = rng.randint(1, len(names))
+    classes = [[] for _ in range(k)]
+    for a in names:
+        classes[rng.randrange(k)].append(a)
+    return Ranking.from_classes(classes)
+
+
+def with_loner(classes):
+    """The total preorder of ``classes`` plus an argument ``loner``
+    comparable with no other: a partial preorder that orders the others as
+    the total one does, so group comparisons take the matching search."""
+    k = len(classes)
+    ranking = Ranking.from_groups([*classes, ["loner"]],
+                                  [(g, h) for g in range(k) for h in range(g, k)])
+    assert not ranking.is_total()
+    return ranking
+
+
 # --- Ranking -------------------------------------------------------------
 
 
@@ -145,10 +165,31 @@ def test_group_comparison_brute_force_thousand():
     assert mismatches == 0
 
 
+def test_sorted_levels_match_the_permutation_oracle_on_total_preorders():
+    rng = random.Random(104729)
+    names = [f"x{i}" for i in range(8)]
+    compared = 0
+    for _ in range(1200):
+        ranking = random_total_preorder(rng, names)
+        assert ranking.is_total()
+        s1 = rng.sample(names, rng.randint(0, 6))
+        s2 = rng.sample(names, rng.randint(0, 6))
+        assert group_geq(s1, s2, ranking) == group_geq_oracle(s1, s2, ranking), (ranking, s1, s2)
+        assert group_gt(s1, s2, ranking) == group_gt_oracle(s1, s2, ranking), (ranking, s1, s2)
+        compared += 1
+    assert compared >= 1000
+
+
 def test_group_geq_moves_every_argument_on_the_path():
     # p takes r first and is moved to s for q; t then also needs r, which
     # only a matching that recorded q on r refuses
     r = Ranking.from_classes([["r", "q", "t"], ["s", "v"], ["p"]])
+    assert not group_geq(["r", "s", "v"], ["p", "q", "t"], r)
+    assert group_geq_oracle(["r", "s", "v"], ["p", "q", "t"], r) is False
+
+
+def test_group_geq_moves_every_argument_on_the_path_in_a_partial_preorder():
+    r = with_loner([["r", "q", "t"], ["s", "v"], ["p"]])
     assert not group_geq(["r", "s", "v"], ["p", "q", "t"], r)
     assert group_geq_oracle(["r", "s", "v"], ["p", "q", "t"], r) is False
 
@@ -161,6 +202,15 @@ def test_group_comparison_of_wide_flat_sets():
     flat = Ranking.from_classes([s1 + s2])
     assert group_geq(s1, s2, flat)
     assert not group_gt(s1, s2, flat)
+
+
+def test_group_comparison_of_wide_flat_sets_in_a_partial_preorder():
+    s1 = [f"x{i}" for i in range(1100)]
+    s2 = [f"y{i}" for i in range(1100)]
+    flat = with_loner([s1 + s2])
+    assert group_geq(s1, s2, flat)
+    assert not group_gt(s1, s2, flat)
+    assert not group_geq(s1, s2 + ["loner"], flat)
 
 
 @pytest.mark.parametrize("n", [4, 120])
@@ -177,6 +227,21 @@ def test_group_geq_follows_long_augmenting_paths(n):
     assert not group_gt(rights, lefts, ranking)
     # a second argument that only r_0 covers breaks Hall's condition
     crowded = Ranking.from_classes([classes[0] + ["extra"]] + classes[1:] + [["spare"]])
+    assert not group_geq(rights + ["spare"], lefts + ["extra"], crowded)
+    if n <= 4:
+        assert group_geq_oracle(rights, lefts, ranking) is True
+        assert group_geq_oracle(rights + ["spare"], lefts + ["extra"], crowded) is False
+
+
+@pytest.mark.parametrize("n", [4, 120])
+def test_group_geq_follows_long_augmenting_paths_in_a_partial_preorder(n):
+    classes = [[f"r{i:04d}", f"l{n - i:04d}"] for i in range(n)]
+    rights = [c[0] for c in classes]
+    lefts = [c[1] for c in classes]
+    ranking = with_loner(classes + [["spare"]])
+    assert group_geq(rights, lefts, ranking)
+    assert not group_gt(rights, lefts, ranking)
+    crowded = with_loner([classes[0] + ["extra"]] + classes[1:] + [["spare"]])
     assert not group_geq(rights + ["spare"], lefts + ["extra"], crowded)
     if n <= 4:
         assert group_geq_oracle(rights, lefts, ranking) is True
