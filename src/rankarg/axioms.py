@@ -542,8 +542,8 @@ def _check_in(context, sem, _seed):
         part, stop = context.rank(pinned, comp)
         if stop:
             return stop
-        if part.same_order(whole):
-            continue
+        if len(comp.arguments) == 1 or part.same_order(whole):
+            continue  # a one-argument component orders no pair
         for a, b in _pairs(comp.arguments):
             if part.geq(a, b) and not whole.geq(a, b):
                 return _violated(context.framework, (a, b),

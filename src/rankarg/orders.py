@@ -184,14 +184,20 @@ class Ranking:
         correspond.  O(n) on two total preorders, where the landing class
         indices must rise with the class order."""
         level = other._level
-        landed = []
+        both_total = self._total and other._total
+        landed = [-1]
         for members in self._classes:
-            found = {level[image[a] if image else a] for a in members}
+            found = ({level[a] for a in members} if image is None
+                     else {level[image[a]] for a in members})
             if len(found) != 1:
                 return False
-            landed.extend(found)
-        if self._total and other._total:
-            return all(i < j for i, j in zip(landed, landed[1:]))
+            (j,) = found
+            if both_total and j <= landed[-1]:
+                return False
+            landed.append(j)
+        if both_total:
+            return True
+        del landed[0]
         position = {j: i for i, j in enumerate(landed)}
         return len(position) == len(landed) and all(
             {position[j] for j in other._down[landed[i]] if j in position} == set(below)

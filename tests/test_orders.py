@@ -119,6 +119,49 @@ def test_random_preorders_pass_audit(rng, n):
         assert ranking.geq(a, c)
 
 
+@pytest.mark.parametrize("kind", ["total", "partial"])
+def test_class_queries_match_pairwise_relations(kind):
+    rng = random.Random(7 if kind == "total" else 11)
+    names = [f"x{i}" for i in range(7)]
+    draw = random_total_preorder if kind == "total" else random_preorder
+    for _ in range(300):
+        r = draw(rng, names)
+        group = rng.sample(names, rng.randint(0, 4))
+        other = rng.sample(names, rng.randint(0, 4))
+        span = r.span(group)
+        for a in names:
+            assert r.geq_all(a, span) == all(r.geq(a, b) for b in group)
+            assert r.strict_all(a, span) == all(r.strict(a, b) for b in group)
+            assert r.equivalent_all(a, span) == all(r.equivalent(a, b) for b in group)
+            assert r.comparable_all(a, span) == all(not r.incomparable(a, b) for b in group)
+        assert r.any_above_all(span, r.span(other)) == any(
+            all(r.strict(c, d) for d in other) for c in group)
+
+
+@pytest.mark.parametrize("kind", ["total", "partial"])
+def test_same_order_matches_pairwise_comparison(kind):
+    rng = random.Random(13 if kind == "total" else 17)
+    names = [f"x{i}" for i in range(6)]
+    draw = random_total_preorder if kind == "total" else random_preorder
+    agreed = 0
+    for _ in range(400):
+        one = draw(rng, names)
+        image = dict(zip(names, rng.sample([f"y{i}" for i in range(6)], 6)))
+        # the renamed copy of one, or another draw over the images
+        other = (Ranking.from_groups([[image[a] for a in c] for c in one.equivalence_classes()],
+                                     [(i, j) for i, c in enumerate(one.equivalence_classes())
+                                      for j, d in enumerate(one.equivalence_classes())
+                                      if one.geq(min(c), min(d))])
+                 if rng.random() < 0.5 else draw(rng, sorted(image.values())))
+        pairwise = all(one.geq(a, b) == other.geq(image[a], image[b]) for a in names for b in names)
+        assert one.same_order(other, image) == pairwise
+        agreed += pairwise
+        part = draw(rng, names[:3])  # a component against the whole
+        assert part.same_order(one) == all(part.geq(a, b) == one.geq(a, b)
+                                           for a in names[:3] for b in names[:3])
+    assert 0 < agreed < 400
+
+
 # --- group comparisons ----------------------------------------------------
 
 
