@@ -431,20 +431,26 @@ def _class_rows(classes, partners):
     return sets, [(a, i) for a, i in rows if sets[i] not in ((), (a,))]
 
 
+def _product(firsts, seconds):
+    """(partners, rows) of the premise that pairs each a of ``firsts`` with
+    each b != a of ``seconds``: one partner set, in name order."""
+    seconds = tuple(sorted(seconds))
+    return [seconds], [(a, 0) for a in sorted(firsts) if seconds not in ((), (a,))]
+
+
 def _attacker_classes(context):
     """The arguments classed by their attacker sets (CT, SCT and QP)."""
     return _classes(context.framework.arguments, context.framework.attackers)
 
 
 def _vp_premise(context):
-    f = context.framework
-    return _class_rows(_classes(f.arguments, f.is_attacked), lambda ka, kb: not ka and kb)
+    unattacked = context.framework.unattacked()
+    return _product(unattacked, context.framework.arguments - unattacked)
 
 
 def _sc_premise(context):
-    f = context.framework
-    return _class_rows(_classes(f.arguments, f.self_attacking().__contains__),
-                       lambda ka, kb: not ka and kb)
+    selfish = context.framework.self_attacking()
+    return _product(context.framework.arguments - selfish, selfish)
 
 
 def _cp_premise(context):
@@ -516,17 +522,9 @@ def _avsfd_premise(context):
     except CyclicFrameworkError:
         return "premise requires an acyclic framework"
     table = walk_counts(f, 2)
-
-    def key(a):  # (no attack branch, one unattacked attacker)
-        return (not profiles[a].attack_lengths,
-                len(f.attackers(a)) == 1 and table.count_in(a, 2) == 0)
-
-    return _class_rows(_classes(f.arguments, key), lambda ka, kb: ka[0] and kb[1])
-
-
-def _everyone(names):
-    """Every argument paired with every other, as one class."""
-    return _class_rows(_classes(names, lambda a: None), lambda ka, kb: True)
+    return _product([a for a in f.arguments if not profiles[a].attack_lengths],
+                    [b for b in f.arguments
+                     if len(f.attackers(b)) == 1 and table.count_in(b, 2) == 0])
 
 
 def _check_in(context, sem, _seed):
@@ -623,11 +621,13 @@ _CHECKERS = {
         lambda f: ((a, a) for a in sorted(f.arguments)), "attack", False,
         "no argument satisfies the premise", "grafting an attack branch onto the copy of {a}"),
     PropertyId.TOT: PairRule(
-        lambda context: _everyone(context.framework.arguments), False, Ranking.comparable_all,
+        lambda context: _product(context.framework.arguments, context.framework.arguments), False,
+        Ranking.comparable_all,
         "needs at least two arguments",
         lambda f, r, a, b: f"{a} and {b} are incomparable"),
     PropertyId.NAE: PairRule(
-        lambda context: _everyone(context.framework.unattacked()), False, Ranking.equivalent_all,
+        lambda context: _product(context.framework.unattacked(), context.framework.unattacked()),
+        False, Ranking.equivalent_all,
         "fewer than two unattacked arguments",
         lambda f, r, a, b: f"unattacked {a} and {b} not equivalent"),
     PropertyId.AVSFD: PairRule(
