@@ -266,10 +266,15 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
         gap = 1.0 - x[src]
         out = fx[dst] / gap
         if tau == 1.0:  # only then can an attacker sit at 1.0
-            for k in np.flatnonzero(gap == 0.0):
-                others = dst == dst[k]
-                others[k] = False
-                out[k] = tau * np.prod(gap[others])
+            at_one = gap == 0.0
+            if at_one.any():
+                # per target: the product of its nonzero gaps, and whether
+                # the entry is its only attacker at 1.0 (else the slope is 0)
+                product = np.ones(len(x))
+                np.multiply.at(product, dst[~at_one], gap[~at_one])
+                targets = dst[at_one]
+                alone = np.bincount(targets, minlength=len(x))[targets] == 1
+                out[at_one] = np.where(alone, tau * product[targets], 0.0)
         return out
 
     with np.errstate(divide="ignore", invalid="ignore"):
