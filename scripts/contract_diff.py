@@ -14,10 +14,13 @@ on one side only is printed, then one summary line per seed.
 
 Then ``python -m rankarg.cli rank FILE SID --format json`` runs in both
 trees for each of the seven semantics on each rank input: data/*.apx,
-tests/data/acyclic120.apx, and six seeded ``gen_random`` frameworks of
-60 to 150 arguments at density 0.03 plus six acyclic ones at density 0.04
-(the tuples inputs), written once by this checkout.  Each request whose
-exit status, stdout or stderr differs is printed, then one summary line.
+tests/data/acyclic120.apx, six seeded ``gen_random`` frameworks of 60 to
+150 arguments at density 0.03 plus six acyclic ones at density 0.04 (the
+tuples inputs), and six seeded cyclic ones of 6 to 12 arguments, self-attacks
+allowed, at densities 0.15, 0.3 and 0.5 (within mt's default cap, and with
+games that have no saddle point, so mt's linear programs are compared too),
+all written once by this checkout.  Each request whose exit status, stdout
+or stderr differs is printed, then one summary line.
 
 Last, ``rankarg check FILE PROP SID`` runs for every property under every
 semantics on the same inputs.  One driver process per tree calls
@@ -89,17 +92,24 @@ def compare_seed(base_tree: Path, seed: int, tmp: Path) -> tuple[list[str], int]
 
 
 RANK_SIZES = (60, 78, 96, 114, 132, 150)
+#: (arguments, attack density) of the small cyclic inputs, which mt ranks.
+GAME_INPUTS = ((6, 0.15), (7, 0.3), (8, 0.5), (10, 0.15), (11, 0.3), (12, 0.5))
+
+
+def write_random(path: Path, spec: GenSpec) -> Path:
+    path.write_text(serialize_apx(next(gen_random(spec))))
+    return path
 
 
 def rank_inputs(into: Path) -> list[Path]:
-    """data/*.apx, acyclic120.apx, and the seeded large frameworks written into ``into``."""
+    """data/*.apx, acyclic120.apx, and the seeded frameworks written into ``into``."""
     files = sorted((ROOT / "data").glob("*.apx")) + [ROOT / "tests" / "data" / "acyclic120.apx"]
     for acyclic, density in ((False, 0.03), (True, 0.04)):
         for seed, n in enumerate(RANK_SIZES):
             spec = GenSpec((n, n), density, acyclic_only=acyclic, seed=seed)
-            path = into / f"{'acyclic' if acyclic else 'random'}{n}.apx"
-            path.write_text(serialize_apx(next(gen_random(spec))))
-            files.append(path)
+            files.append(write_random(into / f"{'acyclic' if acyclic else 'random'}{n}.apx", spec))
+    for seed, (n, density) in enumerate(GAME_INPUTS):
+        files.append(write_random(into / f"cyclic{n}.apx", GenSpec((n, n), density, seed=seed)))
     return files
 
 

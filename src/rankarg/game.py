@@ -4,9 +4,9 @@ The row player maximises.  The first step is the pure saddle test: when the
 largest row minimum equals the smallest column maximum, that entry is the
 value (von Neumann's minimax theorem), and the pure pair of a maximin row and
 a minimax column certifies it, so no tableau is built.  ``pure_saddle`` is
-that test and ``saddle_solution`` its answer; the mt semantics calls them
-itself, on row minima it shares across the games of one framework, and
-calls ``game_value`` only for the games without a saddle.  Any other game is
+that test and ``saddle_solution`` its answer.  The mt semantics tests all
+the games of one framework at once itself, and calls ``game_value`` only
+for the games without a saddle.  Any other game is
 reduced to the classic pair of linear programs: after shifting payoffs so
 every entry is >= 1, the column player's scaled problem  max 1'w  s.t.
 M w <= 1, w >= 0  starts feasible at w = 0 and is solved with a dense primal
@@ -36,18 +36,16 @@ class GameSolution:
     pivots: int
 
 
-def pure_saddle(payoff: np.ndarray, row_min: np.ndarray | None = None) -> tuple[int, int] | None:
+def pure_saddle(payoff: np.ndarray) -> tuple[int, int] | None:
     """(i, j) of a pure saddle point of ``payoff``, or None if it has none.
 
     i is the first row that attains the largest row minimum and j the first
     column that attains the smallest column maximum.  They form a saddle
     exactly when the two are equal as floats: row i then guarantees that
     value against every column and column j concedes at most it on every
-    row, so no tolerance can admit a pair that is not optimal.  ``row_min``,
-    when given, must be ``payoff.min(axis=1)``.
+    row, so no tolerance can admit a pair that is not optimal.
     """
-    if row_min is None:
-        row_min = payoff.min(axis=1)
+    row_min = payoff.min(axis=1)
     col_max = payoff.max(axis=0)
     i = int(np.argmax(row_min))
     j = int(np.argmin(col_max))

@@ -109,12 +109,13 @@ _LINE_SEARCH_HALVINGS = 10
 _JACOBIAN_BUDGET_BYTES = 64 * 2**20
 #: Largest memory the mt games of one framework may take.  The table of
 #: conflict-free proponent sets x distinct opponent signatures is charged
-#: _MT_LIVE_ARRAYS times its 8-byte entries (building it holds three arrays
-#: of its size at once), and so is the simplex tableau of each argument's
-#: game (the tableau, its pivot update, and the reduced game and table rows
-#: it was built from).  The opponent pass before them holds 2^|A| signatures
-#: of 2|A| counts, charged at 24 bytes per count.  A framework of at most 10
-#: arguments has a table of at most 8 MiB and is never refused.
+#: _MT_LIVE_ARRAYS times its 8-byte entries (building it holds its keys and
+#: itself), and so is the simplex tableau of each argument's game (the
+#: tableau, its pivot update, and the reduced game and table rows it was
+#: built from).  The opponent pass before them holds the member bits and
+#: signatures of 2^|A| sets, charged at 48 bytes per set and argument.  A
+#: framework of at most 10 arguments has a table of at most 8 MiB and is
+#: never refused.
 _MT_BUDGET_BYTES = 256 * 2**20
 _MT_LIVE_ARRAYS = 4
 
@@ -490,69 +491,85 @@ def _mt_game_table(framework: ArgFramework) -> tuple[np.ndarray, np.ndarray]:
     sorted(arguments), and its reward against every opponent signature.
 
     The reward of proponent set P against opponent set O is 0 when P
-    conflicts, 1 when O lands no attack on P, and otherwise
-    (1 + f(|P -> O|) - f(|O -> P|)) / 2 with f(x) = x / (x + 1).  Both counts
-    are sums over i in P of |out(i) & O| and |in(i) & O|, so O enters only
-    through its signature of those 2|A| counts, and opponent sets with equal
-    signatures give equal columns; the table keeps one column per distinct
-    signature.  Conflicting sets are left out: their rows are zero, every
-    other row is positive, and rewards lie in [0, 1], so those rows are
-    weakly dominated and leave every game value unchanged.
+    conflicts, 1 when O lands no attack on P, and otherwise (1 + f(x) -
+    f(y)) / 2 with x = |P -> O|, y = |O -> P| and f(x) = x / (x + 1).  With
+    m = |attacks| + 1 > x, y, the key m x + y sums s_i(O) = m |out(i) & O| +
+    |in(i) & O| over i in P, so the table keeps one column per distinct
+    signature (s_i(O)) over i, in order of first occurrence, and takes each
+    entry by its key from the m x m rewards.  P's own signature sums to m + 1
+    times the attacks inside P.  Conflicting sets are left out: their rows
+    are zero, every other row is positive, and rewards lie in [0, 1], so
+    those rows are weakly dominated and leave every game value unchanged.
     """
-    names = sorted(framework.arguments)
+    names, src, dst = _edge_arrays(framework)
     n = len(names)
-    index = {a: i for i, a in enumerate(names)}
     _check_mt_budget("opponent pass", 24 * 2 * n << n)
-    # Row j of incidence is what member j adds to a set's signature: 1 at
-    # column i when j is in out(i), and at column n + i when j is in in(i).
-    incidence = np.zeros((n, 2 * n), dtype=np.uint8)
-    neighbours = [0] * n
-    for a, b in framework.attacks:
-        incidence[index[b], index[a]] = 1
-        incidence[index[a], n + index[b]] = 1
-        neighbours[index[a]] |= 1 << index[b]
-        neighbours[index[b]] |= 1 << index[a]
-    # Build both per-set tables by doubling: the sets whose highest member is
-    # k are the sets below 2^k with k added.
-    masks = np.arange(1 << n, dtype=np.int64)
-    counts = np.zeros((1 << n, 2 * n), dtype=np.uint8)
-    free = np.ones(1 << n, dtype=bool)
-    for k in range(n):
-        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
-        counts[high] = counts[low] + incidence[k]
-        self_attacking = neighbours[k] >> k & 1
-        free[high] = False if self_attacking else free[low] & ((masks[low] & neighbours[k]) == 0)
-    rows = masks[free][1:]  # the empty set holds no argument
-    signatures = _distinct_rows(counts).T.astype(np.float64)  # (2n, S)
-    del masks, counts, free
-    _check_mt_budget(f"game table ({len(rows)} conflict-free sets x {signatures.shape[1]} signatures)",
-                     8 * _MT_LIVE_ARRAYS * len(rows) * signatures.shape[1])
-
-    members = ((rows[:, None] >> np.arange(n)) & 1).astype(np.float64)  # (R, n)
-    into = members @ signatures[n:]  # |O -> P|
-    table = members @ signatures[:n]  # |P -> O|
-    unattacked = into == 0
-    table /= table + 1.0
-    into /= into + 1.0
-    table += 1.0
-    table -= into
-    table *= 0.5
-    table[unattacked] = 1.0
-    return rows, table
+    m = len(src) + 1
+    # Row o of step is what member o adds to a set's signature.
+    step = np.zeros((n, n))
+    step[dst, src] = m
+    step[src, dst] += 1.0
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signatures = bits @ step
+    rows = (np.einsum("ij,ij->i", bits, signatures) == 0).nonzero()[0][1:]  # the empty set holds no argument
+    signatures = _distinct_rows(signatures)
+    _check_mt_budget(f"game table ({len(rows)} conflict-free sets x {len(signatures)} signatures)",
+                     8 * _MT_LIVE_ARRAYS * len(rows) * len(signatures))
+    f = np.arange(m, dtype=np.float64)
+    f /= f + 1.0
+    reward = (f[:, None] + 1.0) - f  # reward[x, y]
+    reward *= 0.5
+    reward[:, 0] = 1.0
+    return rows, reward.ravel()[(bits[rows] @ signatures.T).astype(np.intp)]
 
 
 def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
-    """The rows of ``matrix`` in order, each exact duplicate after the first
-    dropped.  Rows are compared as bytes, which matches float equality on
-    the game tables: their entries are finite and never -0.0."""
+    """The rows of a nonempty ``matrix`` in order, each exact duplicate after
+    the first dropped.  Rows are sorted stably as bytes, which matches float
+    equality here: entries are finite and never -0.0."""
     matrix = np.ascontiguousarray(matrix)
-    keys = matrix.view(np.dtype((np.void, matrix.shape[1] * matrix.itemsize))).ravel()
-    first = np.unique(keys, return_index=True)[1]
-    return matrix[np.sort(first)]
+    order = matrix.view(np.dtype((np.void, matrix.shape[1] * matrix.itemsize))).ravel().argsort(kind="stable")
+    ordered = matrix[order]
+    first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    return matrix[np.sort(order[first])]
 
 
 #: The game of an argument in no conflict-free set: every row scores 0.
 _ZERO_GAME = np.zeros((1, 1))
+
+
+def _mt_pass(framework: ArgFramework, cfg: SolverConfig):
+    """(scores, rows, table, solved): every argument's game value from one
+    pass over the table of _mt_game_table, whose rows that contain an
+    argument are its game.  A game's lower value is the largest row minimum,
+    first attained at its maximin row; only a column where that row attains
+    its minimum can have the lower value as its maximum, so the first such
+    column is tested for all games at once, and a game that fails has all
+    its column maxima taken.  If the smallest equals the lower value, the
+    game has a pure saddle point and that value (von Neumann's minimax
+    theorem); otherwise game_value solves it, reduced, and ``solved`` keeps
+    the solution.  A self-attacker's rows are masked to 0, so its value is 0.
+    """
+    if len(framework.arguments) > cfg.mt_cap:
+        raise SizeCapExceededError(f"{len(framework.arguments)} arguments exceed the game cap {cfg.mt_cap}")
+    names = sorted(framework.arguments)
+    rows, table = _mt_game_table(framework)
+    if not len(rows):  # every argument attacks itself
+        return dict.fromkeys(names, 0.0), rows, table, {}
+    member = (rows[:, None] >> np.arange(len(names))) & 1 == 1
+    maximin = np.where(member, table.min(axis=1)[:, None], 0.0)
+    values = maximin.max(axis=0)
+    columns = table[maximin.argmax(axis=0)].argmin(axis=1)
+    solved = {}
+    for k in (np.where(member, table[:, columns], 0.0).max(axis=0) != values).nonzero()[0]:
+        game = table[member[:, k]]
+        if game.max(axis=0).min() != values[k]:
+            game = _distinct_rows(_distinct_rows(game).T).T
+            m, c = game.shape
+            _check_mt_budget(f"game of {names[k]} ({m} x {c})", 8 * _MT_LIVE_ARRAYS * (m + 1) * (c + m + 1))
+            solved[names[k]] = game_value(game)
+            values[k] = solved[names[k]].value
+    return dict(zip(names, values.tolist())), rows, table, solved
 
 
 def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG
@@ -560,48 +577,26 @@ def mt_scores_detailed(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONF
     """Game value of every argument and the game solution it comes from.
 
     The game of argument a has the proponent sets containing a as rows and
-    all opponent sets as columns.  Its rows are the conflict-free rows of one
-    table per framework (_mt_game_table), whose row minima are taken once.
-    Each argument's game is first put to the pure saddle test on those
-    minima and its own column maxima, and a saddle is answered by its
-    one-hot solution (game.saddle_solution) without a call to game_value.
-    Only a game without a saddle is reduced, by dropping exact duplicate
-    rows and columns, which leaves the value as it is, and then solved by
-    game_value.  An argument in no conflict-free set (a self-attacker) plays
-    the all-zero game, reduced to the 1 x 1 game [0], whose saddle is that 0.
-
-    Refuses with SizeCapExceededError beyond ``cfg.mt_cap`` arguments or
-    beyond the memory budget _MT_BUDGET_BYTES.
+    all opponent sets as columns (see _mt_pass).  A game with a pure saddle
+    point is answered by its one-hot solution on the first maximin row and
+    the first minimax column, a self-attacker's by that of the 1 x 1 game
+    [0], and any other by game_value on the game without its exact duplicate
+    rows and columns, which leave the value as it is.  Refuses with
+    SizeCapExceededError beyond ``cfg.mt_cap`` arguments or beyond the
+    memory budget _MT_BUDGET_BYTES.
     """
-    if len(framework.arguments) > cfg.mt_cap:
-        raise SizeCapExceededError(
-            f"{len(framework.arguments)} arguments exceed the game cap {cfg.mt_cap}"
-        )
-    if not framework.arguments:
-        return {}, {}
-    rows, table = _mt_game_table(framework)
-    row_min = table.min(axis=1)
-    scores, solutions = {}, {}
-    for i, a in enumerate(sorted(framework.arguments)):
-        member = (rows >> i) & 1 == 1
-        game = table[member]
-        if not len(game):
-            sol = saddle_solution(_ZERO_GAME, 0, 0)
-        elif (saddle := pure_saddle(game, row_min[member])) is not None:
-            sol = saddle_solution(game, *saddle)
-        else:
-            game = _distinct_rows(_distinct_rows(game).T).T
-            m, k = game.shape
-            _check_mt_budget(f"game of {a} ({m} x {k})", 8 * _MT_LIVE_ARRAYS * (m + 1) * (k + m + 1))
-            sol = game_value(game)
-        scores[a] = sol.value
-        solutions[a] = sol
+    scores, rows, table, solved = _mt_pass(framework, cfg)
+    solutions = {}
+    for k, a in enumerate(scores):
+        game = table[(rows >> k) & 1 == 1]
+        game = game if len(game) else _ZERO_GAME
+        solutions[a] = solved[a] if a in solved else saddle_solution(game, *pure_saddle(game))
     return scores, solutions
 
 
 def mt_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> dict[str, float]:
     """Game value of every argument (see mt_scores_detailed)."""
-    return mt_scores_detailed(framework, cfg)[0]
+    return _mt_pass(framework, cfg)[0]
 
 
 def grounded_labelling(framework: ArgFramework) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
@@ -641,7 +636,8 @@ class SemanticsRef:
     """A semantics identifier plus its solver configuration.
 
     Deterministic: the same (framework, config) always yields the same
-    ranking, which the property checker relies on.
+    ranking, which the property checker relies on.  The hash is taken once:
+    the checker's ranking memo hashes a reference on every lookup.
     """
 
     sid: str
@@ -650,6 +646,10 @@ class SemanticsRef:
     def __post_init__(self):
         if self.sid not in SEMANTICS_IDS:
             raise ValueError(f"unknown semantics {self.sid!r}; pick one of {SEMANTICS_IDS}")
+        object.__setattr__(self, "_hash", hash((self.sid, self.cfg)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def scored_ranking(self, framework: ArgFramework) -> tuple[Ranking, dict[str, float] | None]:
         """The ranking together with the scores it comes from (None for the

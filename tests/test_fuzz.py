@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rankarg import axioms, fuzz, semantics
@@ -34,6 +35,7 @@ from rankarg.fuzz import (
     run_default_matrix,
     shrink_witness,
 )
+from rankarg.game import pure_saddle
 from rankarg.semantics import SEMANTICS_IDS, SemanticsRef, SolverConfig
 
 GOLDEN_COUNTS = Path(__file__).parent / "data" / "golden_counts.json"
@@ -211,6 +213,34 @@ def test_matrix_solves_cat_and_saf_through_their_public_names(monkeypatch):
         "semantics.categoriser_scores and saf_scores, so every cat and saf solve "
         "must go through them, one framework per call; only ROADMAP item 1 "
         "(the tracer repair) may change that")
+
+
+def test_matrix_solves_every_mt_lp_game_through_game_value(monkeypatch):
+    # the games without a pure saddle, each reduced, in the order of the
+    # solves and of sorted(arguments), from the table of every solve
+    expected, games = [], []
+    cfg = SolverConfig(mt_cap=10)
+    scores = semantics.mt_scores
+
+    def recorded(framework, cfg):
+        if len(framework.arguments) <= cfg.mt_cap:
+            rows, table = semantics._mt_game_table(framework)
+            for i in range(len(framework.arguments)):
+                game = table[(rows >> i) & 1 == 1]
+                if len(game) and pure_saddle(game) is None:
+                    expected.append(semantics._distinct_rows(semantics._distinct_rows(game).T).T)
+        return scores(framework, cfg)
+
+    solve = semantics.game_value
+    monkeypatch.setattr(semantics, "mt_scores", recorded)
+    monkeypatch.setattr(semantics, "game_value", lambda game: games.append(game) or solve(game))
+    corpus = list(itertools.islice(gen_random(GenSpec((3, 6), 0.3, seed=3)), 8))
+    build_matrix(corpus, [SemanticsRef("mt", cfg)])
+    assert len(expected) > 0 and len(games) == len(expected), (
+        "perfbench's duality-gap gate reads the solutions returned by "
+        "semantics.game_value, so every mt game without a pure saddle must go "
+        "through it, one call per game")
+    assert all(np.array_equal(game, want) for game, want in zip(games, expected))
 
 
 @pytest.mark.parametrize("sid", ["dbs", "bbs"])

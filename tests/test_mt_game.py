@@ -1,6 +1,7 @@
 """The reduced mt game against the dense reward matrix of tests/mt_dense.py,
-the one-pass answer against game_value on each argument's slice of the
-table, and the memory budget that bounds the reduced game."""
+the game table against the doubling build of tests/mt_table_ref.py, the
+one-pass answer against game_value on each argument's slice of the table,
+and the memory budget that bounds the reduced game."""
 
 import random
 import tracemalloc
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from mt_dense import mt_reward_matrix
+from mt_table_ref import _distinct_rows, mt_game_table
 
 from rankarg import semantics
 from rankarg.axioms import PropertyId, VerdictStatus, check
@@ -60,6 +62,33 @@ def test_reduced_game_matches_dense_on_random_frameworks():
     rng = random.Random(2008)
     for _ in range(240):
         assert_matches_dense(random_framework(rng, rng.randint(1, 8), rng.random() * 0.6))
+
+
+def assert_table_matches_oracle(framework):
+    rows, table = semantics._mt_game_table(framework)
+    expected_rows, expected = mt_game_table(framework)
+    assert np.array_equal(rows, expected_rows) and table.shape == expected.shape, serialize_apx(framework)
+    assert (table == expected).all(), serialize_apx(framework)
+    for matrix in (table, table.T) if len(table) else ():
+        assert np.array_equal(semantics._distinct_rows(matrix), _distinct_rows(matrix))
+    cfg = SolverConfig(mt_cap=10)
+    assert mt_scores(framework, cfg) == mt_scores_detailed(framework, cfg)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_matches_doubling_oracle_on_every_small_framework(n):
+    for framework in enumerate_all(n):
+        assert_table_matches_oracle(framework)
+
+
+def test_table_matches_doubling_oracle_on_random_frameworks():
+    rng = random.Random(1008)
+    self_attacking = 0
+    for _ in range(320):
+        framework = random_framework(rng, rng.randint(1, 10), rng.random() * 0.6)
+        assert_table_matches_oracle(framework)
+        self_attacking += any((a, a) in framework.attacks for a in framework.arguments)
+    assert self_attacking > 0
 
 
 def test_self_attacker_plays_the_zero_game():
