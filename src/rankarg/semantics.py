@@ -524,13 +524,14 @@ def _mt_game_table(framework: ArgFramework) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
-    """The rows of a nonempty ``matrix`` in order, each exact duplicate after
-    the first dropped.  Rows are sorted stably as bytes, which matches float
-    equality here: entries are finite and never -0.0."""
+    """The rows of ``matrix`` in order, each exact duplicate after the first
+    dropped.  Rows are sorted stably as bytes, which matches float equality
+    here: entries are finite and never -0.0."""
     matrix = np.ascontiguousarray(matrix)
     order = matrix.view(np.dtype((np.void, matrix.shape[1] * matrix.itemsize))).ravel().argsort(kind="stable")
     ordered = matrix[order]
-    first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return matrix[np.sort(order[first])]
 
 

@@ -3,12 +3,13 @@
 Acceptance criteria 4 and 5 (tests/test_acceptance.py) stay red: they expect
 the game-theoretic strength of Matt & Toni (JELIA 2008) to give d the value
 0.25 on Example 1, and c = d.  Their failure messages say why the computed
-value differs; this module checks that analysis in exact arithmetic.  The
-game of d, built from the definition in Fractions, has no pure saddle
-point, so its value is a mixed one: solving the equalities on the support
-of an optimal strategy pair gives exactly 17/44, and the pair certifies it,
-since the row strategy guarantees at least 17/44 against every column and
-the column strategy concedes at most 17/44 against every row.
+value differs; this module checks that analysis in exact arithmetic.  Built
+from the definition in Fractions, the games of a, b, c and e have pure
+saddle points (values 1/6, 1, 1/4 and 1/2) and the game of d has none, so
+its value is a mixed one: solving the equalities on the support of an
+optimal strategy pair gives exactly 17/44, and the pair certifies it, since
+the row strategy guarantees at least 17/44 against every column and the
+column strategy concedes at most 17/44 against every row.
 """
 
 from fractions import Fraction
@@ -56,12 +57,20 @@ def solve(equations):
     return [r[-1] for r in rows]
 
 
-def test_example1_game_of_d_has_no_pure_saddle():
-    game = exact_game(example1(), "d")
-    maximin = max(min(row) for row in game)
-    minimax = min(max(col) for col in zip(*game))
-    # the pure maximin is the 0.25 the expected grid holds for d
-    assert maximin == Fraction(1, 4) < Fraction(5, 12) == minimax
+def test_example1_games_have_pure_saddles_except_that_of_d():
+    ex1 = example1()
+    scores = mt_scores(ex1)
+    pure = {"a": Fraction(1, 6), "b": Fraction(1), "c": Fraction(1, 4), "e": Fraction(1, 2)}
+    for name in "abcde":
+        game = exact_game(ex1, name)
+        maximin = max(min(row) for row in game)
+        minimax = min(max(col) for col in zip(*game))
+        if name == "d":
+            # the pure maximin is the 0.25 the expected grid holds for d
+            assert maximin == Fraction(1, 4) < Fraction(5, 12) == minimax
+        else:
+            assert maximin == minimax == pure[name]
+            assert abs(scores[name] - float(pure[name])) < 1e-12
 
 
 def test_example1_value_of_d_is_exactly_17_over_44():
