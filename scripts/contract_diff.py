@@ -10,7 +10,10 @@ into a temporary directory.  For each seed in turn (0 and 7 without
 tree and in this checkout, side by side, each with its own ``src`` on
 PYTHONPATH.  The two output directories (matrix.txt, records.jsonl and
 witnesses/) are compared file by file: every path that differs or exists
-on one side only is printed, then one summary line per seed.
+on one side only is printed, then one summary line per seed.  One more
+run, ``fuzz --seed 0 --trials 300 --properties SCT,QP``, is compared the
+same way: it checks SCT without CT, so SCT builds its own attacker-set
+order in a context that CT never filled.
 
 Then ``python -m rankarg.cli rank FILE SID --format json`` runs in both
 trees for each of the seven semantics on each rank input: data/*.apx,
@@ -28,7 +31,7 @@ semantics on the same inputs.  One driver process per tree calls
 so the interpreter starts twice, not once per request.  Each request whose
 exit status or stdout differs is printed, then one summary line.
 
-The exit status is 1 when any seed, rank or check request differs, and 0
+The exit status is 1 when any fuzz run, rank or check request differs, and 0
 when every output is byte-identical.
 """
 
@@ -52,9 +55,13 @@ from rankarg.fuzz import GenSpec, gen_random  # noqa: E402
 from rankarg.semantics import SEMANTICS_IDS  # noqa: E402
 
 
-def start_fuzz(tree: Path, seed: int, out: Path) -> subprocess.Popen:
+#: The property-subset fuzz run compared after the seeds.
+SUBSET_RUN = ("--seed", "0", "--trials", "300", "--properties", "SCT,QP")
+
+
+def start_fuzz(tree: Path, args: tuple[str, ...], out: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.Popen([sys.executable, "-m", "rankarg.cli", "fuzz", "--seed", str(seed),
+    return subprocess.Popen([sys.executable, "-m", "rankarg.cli", "fuzz", *args,
                              "--out", str(out)],
                             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                             text=True)
@@ -78,15 +85,16 @@ def differences(base: Path, change: Path) -> list[str]:
     return lines
 
 
-def compare_seed(base_tree: Path, seed: int, tmp: Path) -> tuple[list[str], int]:
-    """(differing paths, files written by this checkout) of one fuzz seed."""
-    outs = {"base": tmp / f"base-out-{seed}", "change": tmp / f"change-out-{seed}"}
-    runs = {side: start_fuzz(tree, seed, outs[side])
+def compare_fuzz(base_tree: Path, args: tuple[str, ...], tmp: Path) -> tuple[list[str], int]:
+    """(differing paths, files written by this checkout) of one fuzz run."""
+    label = "-".join(args)
+    outs = {"base": tmp / f"base-out{label}", "change": tmp / f"change-out{label}"}
+    runs = {side: start_fuzz(tree, args, outs[side])
             for side, tree in (("base", base_tree), ("change", ROOT))}
     errors = {side: proc.communicate()[1] for side, proc in runs.items()}
     for side, proc in runs.items():
         if proc.returncode:
-            raise SystemExit(f"fuzz --seed {seed} in the {side} tree exited "
+            raise SystemExit(f"fuzz {' '.join(args)} in the {side} tree exited "
                              f"{proc.returncode}:\n{errors[side]}")
     return differences(outs["base"], outs["change"]), len(files_under(outs["change"]))
 
@@ -184,12 +192,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="contract-") as tmp:
         tmp = Path(tmp)
         export(args.base, tmp / "base")
-        for seed in args.seed:
-            lines, count = compare_seed(tmp / "base", seed, tmp)
+        for run in [("--seed", str(seed)) for seed in args.seed] + [SUBSET_RUN]:
+            lines, count = compare_fuzz(tmp / "base", run, tmp)
+            command = "fuzz " + " ".join(run)
             for line in lines:
                 print(line)
-            print(f"fuzz --seed {seed}: {len(lines)} of the paths differ" if lines
-                  else f"identical: {count} files, fuzz --seed {seed}, {args.base} vs this checkout",
+            print(f"{command}: {len(lines)} of the paths differ" if lines
+                  else f"identical: {count} files, {command}, {args.base} vs this checkout",
                   flush=True)
             differ = differ or bool(lines)
         inputs = rank_inputs(tmp)

@@ -30,7 +30,7 @@ from .framework import (
     rename,
     walk_counts,
 )
-from .orders import Ranking, group_geq, group_gt, ranking_from_scores
+from .orders import Ranking, group_geq, ranking_from_scores
 from .semantics import NonConvergenceError, SemanticsRef, SizeCapExceededError
 
 
@@ -177,27 +177,20 @@ class EvalContext:
 
     ``rank(sem, f)`` memoises, per (SemanticsRef, ArgFramework) key, the
     (ranking, stop verdict) pair of that solve; a refused solve is stored
-    too.  The premise classes of the pair rules that do not read the
-    ranking, and the constructions the checks build from ``framework`` --
-    the Abs renamings per seed, F union a fresh clone of F, the grafts on it
-    per (target, kind) and the connected components -- are built once, when
-    first asked for, and shared by every semantics.  A pair rule's verdict
-    depends on the framework's ranking alone, so ``decision`` keeps it per
-    rule and distinct ranking, and semantics that rank the framework alike
-    share it; ``group_table`` keeps the group comparisons CT and SCT made
-    under a ranking.  The caller creates one context per framework, hands
-    it to every check of that framework, and drops it when done, so memory
-    does not grow with the corpus.
+    too.  Everything else is built once, when first asked for: the premise
+    classes of the pair rules that do not read the ranking, the order of
+    the framework's attacker sets per distinct ranking (CT and SCT), and the
+    constructions the checks build from ``framework`` -- the Abs renamings
+    per seed, F union a fresh clone of F, the grafts on it per (target,
+    kind) and the connected components.  The caller creates one context per
+    framework, hands it to every check of that framework, and drops it when
+    done, so memory does not grow with the corpus.
     """
 
     def __init__(self, framework: ArgFramework):
         self.framework = framework
         self._rankings: dict = {}
-        self._premises: dict = {}
-        self._decisions: dict = {}
-        self._group_tables: dict = {}
-        self._renamings: dict[int, list[tuple[dict[str, str], ArgFramework]]] = {}
-        self._grafts: dict[tuple[str, str], tuple[ArgFramework, dict[str, str]]] = {}
+        self._built: dict = {}
 
     def rank(self, sem: SemanticsRef, f: ArgFramework):
         key = (sem, f)
@@ -206,26 +199,23 @@ class EvalContext:
             found = self._rankings[key] = _ranking_or_verdict(sem, f)
         return found
 
+    def _once(self, build, *args):
+        """``build(self, *args)``, built on the first request."""
+        key = (build, *args)
+        found = self._built.get(key)
+        if found is None:
+            found = self._built[key] = build(self, *args)
+        return found
+
     def premise(self, build):
         """``build(self)``: the classes of a premise that does not read the
-        ranking, built on the first request."""
-        found = self._premises.get(build)
-        if found is None:
-            found = self._premises[build] = build(self)
-        return found
+        ranking."""
+        return self._once(build)
 
-    def decision(self, rule: "PairRule", ranking: Ranking) -> PropertyVerdict:
-        """``rule.decide(self, ranking)``, made once per rule and distinct ranking."""
-        key = (rule.premise, ranking)
-        found = self._decisions.get(key)
-        if found is None:
-            found = self._decisions[key] = rule.decide(self, ranking)
-        return found
-
-    def group_table(self, ranking: Ranking) -> dict:
-        """(s1, s2) -> group_geq(s1, s2) under ``ranking``, filled by CT and
-        read by SCT."""
-        return self._group_tables.setdefault(ranking, {})
+    def attacker_order(self, ranking: Ranking) -> dict:
+        """(s1, s2) -> s1 >= s2 under ``ranking`` (``orders.group_geq``), for
+        every ordered pair of the framework's attacker sets."""
+        return self._once(_attacker_order, ranking)
 
     @cached_property
     def components(self) -> list[ArgFramework]:
@@ -240,27 +230,30 @@ class EvalContext:
 
     def renamings(self, seed: int) -> list[tuple[dict[str, str], ArgFramework]]:
         """The ABS_TRIALS (renaming, renamed framework) pairs Abs tries under
-        ``seed``, in order, all built on the first request."""
-        if seed not in self._renamings:
-            rng = random.Random(seed * 0x9E3779B1 + int(framework_key(self.framework), 16))
-            names = sorted(self.framework.arguments)
-            built = []
-            for _ in range(ABS_TRIALS):
-                fresh = [f"v{k}" for k in range(len(names))]
-                rng.shuffle(fresh)
-                gamma = dict(zip(names, fresh))
-                built.append((gamma, rename(self.framework, gamma)))
-            self._renamings[seed] = built
-        return self._renamings[seed]
+        ``seed``, in order."""
+        return self._once(_renamings, seed)
 
     def graft(self, target: str, kind: str) -> tuple[ArgFramework, dict[str, str]]:
         """``doubled`` with a ``kind`` branch (``graft_branch``) grafted onto
         the clone's image of target, with the clone's renaming."""
-        key = (target, kind)
-        if key not in self._grafts:
-            doubled, gamma = self.doubled
-            self._grafts[key] = graft_branch(doubled, gamma[target], kind), gamma
-        return self._grafts[key]
+        return self._once(_graft, target, kind)
+
+
+def _renamings(context: EvalContext, seed: int):
+    rng = random.Random(seed * 0x9E3779B1 + int(framework_key(context.framework), 16))
+    names = sorted(context.framework.arguments)
+    built = []
+    for _ in range(ABS_TRIALS):
+        fresh = [f"v{k}" for k in range(len(names))]
+        rng.shuffle(fresh)
+        gamma = dict(zip(names, fresh))
+        built.append((gamma, rename(context.framework, gamma)))
+    return built
+
+
+def _graft(context: EvalContext, target: str, kind: str):
+    doubled, gamma = context.doubled
+    return graft_branch(doubled, gamma[target], kind), gamma
 
 
 def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
@@ -292,8 +285,7 @@ class PairRule:
     order they are checked, and within a row b goes in name order.  A
     premise that does not read the ranking is ``premise(context)``, built
     once per context (``EvalContext.premise``); one that does, flagged by
-    ``reads_ranking``, is ``premise(context, ranking, table)`` with the
-    context's group-comparison table for the ranking.  Either may return
+    ``reads_ranking``, is ``premise(context, ranking)``.  Either may return
     the reason the property does not apply instead.  ``relation(ranking, a,
     span)`` is a class query (``Ranking.strict_all`` and the like) over a
     span of ``Ranking.span``; ``na`` is the reason given when there are no
@@ -314,8 +306,6 @@ class PairRule:
         the first row refused is walked pair by pair, to name that pair.  A
         structural premise is evaluated before the solve, so a premise that
         never fires is NotApplicable even where the semantics cannot rank.
-        Semantics that rank the framework alike share the decision
-        (``EvalContext.decision``).
         """
         if not self.reads_ranking:
             unfit = self._inapplicable(context.premise(self.premise))
@@ -324,7 +314,7 @@ class PairRule:
         ranking, stop = context.rank(sem, context.framework)
         if stop:
             return stop
-        return context.decision(self, ranking)
+        return self.decide(context, ranking)
 
     def _inapplicable(self, premise) -> PropertyVerdict | None:
         if isinstance(premise, str):
@@ -334,7 +324,7 @@ class PairRule:
     def decide(self, context: EvalContext, ranking: Ranking) -> PropertyVerdict:
         """The verdict under ``ranking``, whatever semantics produced it."""
         if self.reads_ranking:
-            premise = self.premise(context, ranking, context.group_table(ranking))
+            premise = self.premise(context, ranking)
         else:
             premise = context.premise(self.premise)
         unfit = self._inapplicable(premise)
@@ -464,7 +454,7 @@ def _dominators(framework, ranking, a, b):
     return [c for c in framework.attackers(b) if ranking.strict_all(c, span)]
 
 
-def _qp_premise(context, ranking, _table):
+def _qp_premise(context, ranking):
     # the dominated side must actually have attackers to dominate; reading
     # the empty case as vacuous would fold VP into QP
     classes = context.premise(_attacker_classes)
@@ -472,26 +462,23 @@ def _qp_premise(context, ranking, _table):
     return _class_rows(classes, lambda ka, kb: bool(ka) and ranking.any_above_all(spans[kb], spans[ka]))
 
 
+def _attacker_order(context, ranking):
+    """s1 >= s2 per ordered pair of attacker sets: a pair with s2 inside s1
+    holds by the identity, and one with a larger s2 fails on sizes, without
+    a comparison."""
+    sets = context.premise(_attacker_classes)[0]
+    return {(s1, s2): s2 <= s1 or len(s1) >= len(s2) and group_geq(s1, s2, ranking)
+            for s1 in sets for s2 in sets}
+
+
 def _group_premise(strict):
     """CT (SCT): b is a partner of a when the attackers of b win the weak
-    (strict) group comparison against the attackers of a.  Each distinct
-    pair of attacker sets is compared once per ranking: CT fills the table,
-    and SCT reads s1 > s2 off it as s1 >= s2 and not s2 >= s1 where it can.
-    A pair with s2 inside s1 holds by the identity, and one with a larger s2
-    fails on sizes, without a comparison."""
-    def premise(context, ranking, table):
-        def beaten_by(s2, s1):  # s1 >= s2, as the table holds it
-            if (s1, s2) not in table:
-                table[s1, s2] = s2 <= s1 or len(s1) >= len(s2) and group_geq(s1, s2, ranking)
-            return table[s1, s2]
-
-        def strictly_beaten_by(s2, s1):  # s1 > s2
-            if (s1, s2) in table and (s2, s1) in table:
-                return table[s1, s2] and not table[s2, s1]
-            return group_gt(s1, s2, ranking)
-
+    (strict) group comparison against the attackers of a, read off the
+    context's attacker-set order: s1 > s2 is s1 >= s2 and not s2 >= s1."""
+    def premise(context, ranking):
+        order = context.attacker_order(ranking)
         return _class_rows(context.premise(_attacker_classes),
-                           strictly_beaten_by if strict else beaten_by)
+                           lambda s2, s1: order[s1, s2] and not (strict and order[s2, s1]))
     return premise
 
 
@@ -716,7 +703,7 @@ def _forced_pairs(prop: PropertyId, framework: ArgFramework) -> set[tuple[str, s
     with any ranking it reads taken to be the one CP forces: its classes
     expanded to argument pairs."""
     rule, context = _CHECKERS[prop], EvalContext(framework)
-    premise = (rule.premise(context, _count_ranking(framework), {}) if rule.reads_ranking
+    premise = (rule.premise(context, _count_ranking(framework)) if rule.reads_ranking
                else rule.premise(context))
     if isinstance(premise, str):
         return set()

@@ -265,9 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="satisfaction matrix over the default corpora")
     p.add_argument("--out", help="directory for matrix.txt, records.jsonl, witnesses/")
     p.add_argument("--trials", type=int, default=FuzzBudget.random_trials,
-                   help="random frameworks per cheap-semantics corpus (default %(default)s)")
+                   help="random frameworks per cheap-semantics corpus, rounded down to a "
+                        "multiple of 3, one third per density (default %(default)s)")
     p.add_argument("--mt-trials", type=int, default=FuzzBudget.mt_random_trials,
-                   help="random frameworks in the mt corpus (default %(default)s)")
+                   help="random frameworks in the mt corpus, rounded down to a multiple "
+                        "of 3 (default %(default)s)")
     p.add_argument("--semantics", help="comma-separated subset of " + ",".join(SEMANTICS_IDS))
     p.add_argument("--properties", help="comma-separated property subset")
     p.add_argument("--seed", type=int, default=None)

@@ -3,7 +3,7 @@ examples, change-property constructions, and the incompatibility witnesses."""
 
 from dataclasses import replace
 from functools import wraps
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
@@ -34,8 +34,8 @@ from rankarg.axioms import (
     replay_incompatibility,
 )
 from rankarg.catalog import bundled, figure2
-from rankarg.framework import ArgFramework
-from rankarg.fuzz import enumerate_all
+from rankarg.framework import ArgFramework, has_cycle
+from rankarg.fuzz import GenSpec, build_matrix, enumerate_all, gen_random
 from rankarg.orders import Ranking
 from rankarg.semantics import SemanticsRef, SolverConfig
 
@@ -155,21 +155,58 @@ def test_grounded_ct_qp_hold_on_example1(ex1):
         assert check(prop, ex1, SemanticsRef("grounded")).status is VerdictStatus.HOLDS
 
 
-@pytest.mark.parametrize("prop, compare", [(PropertyId.CT, "group_geq"), (PropertyId.SCT, "group_gt")])
-def test_group_premise_compares_each_attacker_set_pair_once(prop, compare, monkeypatch):
+@pytest.mark.parametrize("prop", [PropertyId.CT, PropertyId.SCT])
+def test_group_premise_compares_each_attacker_set_pair_once(prop, monkeypatch):
     # a and b each attacked by 40 unattacked arguments: 6,642 ordered pairs,
     # but only three distinct attacker sets (those of a, of b, and the empty one)
     xs, ys = [f"x{i}" for i in range(40)], [f"y{i}" for i in range(40)]
     f = ArgFramework.make(["a", "b", *xs, *ys], [(x, "a") for x in xs] + [(y, "b") for y in ys])
-    original, calls = getattr(axioms, compare), []
+    original, calls = axioms.group_geq, []
 
     def counted(s1, s2, ranking):
         calls.append((s1, s2))
         return original(s1, s2, ranking)
 
-    monkeypatch.setattr(axioms, compare, counted)
+    monkeypatch.setattr(axioms, "group_geq", counted)
     assert check(prop, f, SemanticsRef("grounded")).status is VerdictStatus.HOLDS
     assert 0 < len(calls) == len(set(calls)) <= 9
+
+
+def cyclic_corpus():
+    """Seeded random frameworks of 2 to 7 arguments, each with a cycle."""
+    stream = gen_random(GenSpec((2, 7), 0.3, seed=3))
+    return list(islice(filter(has_cycle, stream), 60))
+
+
+GROUP_REFS = [SemanticsRef(sid) for sid in ("dbs", "bbs", "grounded")]
+
+
+def test_attacker_order_is_built_once_per_context_and_ranking(monkeypatch):
+    # dbs and bbs often rank a framework alike; CT and SCT then share one order
+    current, asked = [None], []
+    attacker_order, group_geq = EvalContext.attacker_order, axioms.group_geq
+
+    def tracked(context, ranking):
+        current[0] = context
+        return attacker_order(context, ranking)
+
+    def counted(s1, s2, ranking):
+        asked.append((current[0], ranking, s1, s2))
+        return group_geq(s1, s2, ranking)
+
+    monkeypatch.setattr(EvalContext, "attacker_order", tracked)
+    monkeypatch.setattr(axioms, "group_geq", counted)
+    build_matrix(cyclic_corpus(), GROUP_REFS, [PropertyId.CT, PropertyId.SCT], shrink=False)
+    assert 0 < len(asked) == len(set(asked))
+
+
+def test_sct_alone_gives_the_verdict_it_gives_after_ct():
+    for framework in cyclic_corpus():
+        for sem in GROUP_REFS:
+            context = EvalContext(framework)
+            check(PropertyId.CT, framework, sem, context=context)
+            after_ct = check(PropertyId.SCT, framework, sem, context=context)
+            assert check(PropertyId.SCT, framework, sem) == after_ct, (framework, sem)
 
 
 def wide(n):
@@ -207,8 +244,7 @@ def test_wide_checks_ask_the_ranking_linearly_often(prop, monkeypatch):
     rule = _CHECKERS[prop]
     if hasattr(rule, "relation"):  # the rule holds the class query it was built with
         monkeypatch.setitem(_CHECKERS, prop, replace(rule, relation=counted(rule.relation)))
-    for compare in ("group_geq", "group_gt"):
-        monkeypatch.setattr(axioms, compare, counted(getattr(axioms, compare),
+    monkeypatch.setattr(axioms, "group_geq", counted(axioms.group_geq,
                                                      lambda s1, s2, _: len(s1) + len(s2)))
 
     def queries(n):

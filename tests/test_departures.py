@@ -10,13 +10,22 @@ its value is a mixed one: solving the equalities on the support of an
 optimal strategy pair gives exactly 17/44, and the pair certifies it, since
 the row strategy guarantees at least 17/44 against every column and the
 column strategy concedes at most 17/44 against every row.
+
+Criteria 7 and 8 stay red for one reason: mt gives every self-attacking
+argument the value 0.  An attack branch grafted onto one cannot lower it
+(mt/+AB), and two arguments with equal attacker sets can still differ when
+one of them attacks itself, so CT fails where SCT holds.  The last two tests
+check both on the seed-0 mt lane of the default matrix.
 """
 
 from fractions import Fraction
 
+import pytest
 from mt_dense import mt_reward_matrix
 
+from rankarg.axioms import _CHECKERS, EvalContext, PropertyId, VerdictStatus, check
 from rankarg.catalog import example1
+from rankarg.fuzz import FuzzBudget, default_corpora, lane_ref
 from rankarg.game import game_value
 from rankarg.semantics import mt_scores
 
@@ -91,3 +100,49 @@ def test_example1_value_of_d_is_exactly_17_over_44():
     assert all(sum(pi * game[i][j] for pi, i in zip(p, rows)) >= v for j in range(len(game[0])))
     assert all(sum(qj * game[i][j] for qj, j in zip(q, cols)) <= v for i in range(len(game)))
     assert abs(mt_scores(ex1)["d"] - 17 / 44) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def mt_lane():
+    """The corpus and semantics of the default matrix's mt lane at seed 0."""
+    budget = FuzzBudget(seed=0)
+    return default_corpora(budget)["mt"], lane_ref("mt", budget)
+
+
+def test_plus_ab_is_refused_only_on_self_attackers(mt_lane):
+    corpus, mt = mt_lane
+    rule = _CHECKERS[PropertyId.PLUS_AB]
+    violating = refused = 0
+    for framework in corpus:
+        context = EvalContext(framework)
+        selfish = framework.self_attacking()
+        for star, better, worse, a, _ in rule.demands(context):
+            ranking, stop = context.rank(mt, star)
+            if stop:  # the graft is over mt's size cap; the check stops here too
+                break
+            if not ranking.strict(better, worse):
+                assert a in selfish, (framework, a)
+                refused += 1
+        verdict = check(PropertyId.PLUS_AB, framework, mt, context=context)
+        if verdict.status is VerdictStatus.VIOLATED:
+            assert selfish, framework
+            violating += 1
+    # 84 of the 187 frameworks, with 120 refused demands, at seed 0
+    assert 0 < violating <= refused
+
+
+def test_sct_without_ct_is_a_self_attacker_beside_its_twin(mt_lane):
+    corpus, mt = mt_lane
+    found = 0
+    for framework in corpus:
+        context = EvalContext(framework)
+        if check(PropertyId.SCT, framework, mt, context=context).status is not VerdictStatus.HOLDS:
+            continue
+        ct = check(PropertyId.CT, framework, mt, context=context)
+        if ct.status is VerdictStatus.VIOLATED:
+            # CT wants a at least as good as b; mt pins a at 0
+            a, b = ct.witness.pair
+            assert framework.attackers(a) == framework.attackers(b), framework
+            assert (a, a) in framework.attacks and (b, b) not in framework.attacks, framework
+            found += 1
+    assert found  # 5 frameworks of 3 to 5 arguments at seed 0
