@@ -25,14 +25,17 @@ games that have no saddle point, so mt's linear programs are compared too),
 all written once by this checkout.  Each request whose exit status, stdout
 or stderr differs is printed, then one summary line.
 
-Last, ``rankarg check FILE PROP SID`` runs for every property under every
-semantics on the same inputs.  One driver process per tree calls
-``rankarg.cli.main`` for each request in turn (the two trees side by side),
-so the interpreter starts twice, not once per request.  Each request whose
-exit status or stdout differs is printed, then one summary line.
+Last, ``rankarg survey FILE`` runs on each of the same inputs, which
+compares the text rendering of every semantics' ranking (``cli.ranking_text``,
+with the chain and ``x ? y`` lines of a partial tuples order), and then
+``rankarg check FILE PROP SID`` for every property under every semantics.
+For each of the two, one driver process per tree calls ``rankarg.cli.main``
+for each request in turn (the two trees side by side), so the interpreter
+starts twice, not once per request.  Each request whose exit status or
+stdout differs is printed, then one summary line.
 
-The exit status is 1 when any fuzz run, rank or check request differs, and 0
-when every output is byte-identical.
+The exit status is 1 when any fuzz run, rank, survey or check request
+differs, and 0 when every output is byte-identical.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def compare_ranks(base_tree: Path, inputs: list[Path]) -> tuple[list[str], int]:
 
 #: Reads a JSON list of argument lists on stdin and prints, per list, the
 #: JSON [exit status, stdout] of ``rankarg.cli.main`` on it.
-CHECK_DRIVER = """
+CLI_DRIVER = """
 import contextlib, io, json, sys
 from rankarg.cli import main
 for args in json.load(sys.stdin):
@@ -158,27 +161,26 @@ for args in json.load(sys.stdin):
 """
 
 
-def compare_checks(base_tree: Path, inputs: list[Path], tmp: Path) -> tuple[list[str], int]:
-    """(one line per differing check request, requests made)."""
-    requests = [["check", str(path), prop.value, sid]
-                for path in inputs for sid in SEMANTICS_IDS for prop in PROPERTY_ORDER]
-    (tmp / "checks.json").write_text(json.dumps(requests))
+def compare_requests(base_tree: Path, requests: list[list[str]], tmp: Path) -> list[str]:
+    """One line per CLI request (``[command, FILE, ...]``) whose exit status
+    or stdout differs between the two trees."""
+    command = requests[0][0]
+    (tmp / f"{command}.json").write_text(json.dumps(requests))
     runs = []
     for side, tree in (("base", base_tree), ("change", ROOT)):
-        with (open(tmp / "checks.json") as stdin, open(tmp / f"{side}-checks.out", "w") as out,
-              open(tmp / f"{side}-checks.err", "w") as err):
-            runs.append(subprocess.Popen([sys.executable, "-c", CHECK_DRIVER], cwd=tree,
+        with (open(tmp / f"{command}.json") as stdin, open(tmp / f"{side}-{command}.out", "w") as out,
+              open(tmp / f"{side}-{command}.err", "w") as err):
+            runs.append(subprocess.Popen([sys.executable, "-c", CLI_DRIVER], cwd=tree,
                                          env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                                          stdin=stdin, stdout=out, stderr=err))
     outputs = []
     for proc, side in zip(runs, ("base", "change")):
         if proc.wait():
-            raise SystemExit(f"the check driver in the {side} tree exited {proc.returncode}:\n"
-                             + (tmp / f"{side}-checks.err").read_text())
-        outputs.append([json.loads(line) for line in (tmp / f"{side}-checks.out").open()])
-    lines = [f"differs: check {Path(path).name} {prop} {sid} (exit {base[0]} vs {change[0]})"
-             for (_, path, prop, sid), base, change in zip(requests, *outputs) if base != change]
-    return lines, len(requests)
+            raise SystemExit(f"the {command} driver in the {side} tree exited {proc.returncode}:\n"
+                             + (tmp / f"{side}-{command}.err").read_text())
+        outputs.append([json.loads(line) for line in (tmp / f"{side}-{command}.out").open()])
+    return [f"differs: {' '.join([command, Path(path).name, *rest])} (exit {base[0]} vs {change[0]})"
+            for (_, path, *rest), base, change in zip(requests, *outputs) if base != change]
 
 
 def main(argv=None) -> int:
@@ -209,13 +211,17 @@ def main(argv=None) -> int:
               else f"identical: {requests} rank --format json requests, {args.base} vs this checkout",
               flush=True)
         differ = differ or bool(lines)
-        lines, requests = compare_checks(tmp / "base", inputs, tmp)
-        for line in lines:
-            print(line)
-        print(f"check: {len(lines)} of {requests} requests differ" if lines
-              else f"identical: {requests} check requests, {args.base} vs this checkout",
-              flush=True)
-        differ = differ or bool(lines)
+        for command, requests in (
+                ("survey", [["survey", str(path)] for path in inputs]),
+                ("check", [["check", str(path), prop.value, sid] for path in inputs
+                           for sid in SEMANTICS_IDS for prop in PROPERTY_ORDER])):
+            lines = compare_requests(tmp / "base", requests, tmp)
+            for line in lines:
+                print(line)
+            print(f"{command}: {len(lines)} of {len(requests)} requests differ" if lines
+                  else f"identical: {len(requests)} {command} requests, {args.base} vs this checkout",
+                  flush=True)
+            differ = differ or bool(lines)
     return 1 if differ else 0
 
 

@@ -213,8 +213,8 @@ class EvalContext:
         return self._once(build)
 
     def attacker_order(self, ranking: Ranking) -> dict:
-        """(s1, s2) -> s1 >= s2 under ``ranking`` (``orders.group_geq``), for
-        every ordered pair of the framework's attacker sets."""
+        """s1 -> the frozenset of the framework's attacker sets s2 with s1 >=
+        s2 under ``ranking`` (``orders.group_geq``), per attacker set s1."""
         return self._once(_attacker_order, ranking)
 
     @cached_property
@@ -304,34 +304,28 @@ class PairRule:
 
         Each row is decided with one class query over its partner set; only
         the first row refused is walked pair by pair, to name that pair.  A
-        structural premise is evaluated before the solve, so a premise that
-        never fires is NotApplicable even where the semantics cannot rank.
+        structural premise is read before the solve, so a premise that never
+        fires is NotApplicable even where the semantics cannot rank; one
+        that reads the ranking is read after it.
         """
-        if not self.reads_ranking:
-            unfit = self._inapplicable(context.premise(self.premise))
-            if unfit:
-                return unfit
-        ranking, stop = context.rank(sem, context.framework)
-        if stop:
-            return stop
-        return self.decide(context, ranking)
-
-    def _inapplicable(self, premise) -> PropertyVerdict | None:
-        if isinstance(premise, str):
-            return _na(premise)
-        return None if premise[1] else _na(self.na)
-
-    def decide(self, context: EvalContext, ranking: Ranking) -> PropertyVerdict:
-        """The verdict under ``ranking``, whatever semantics produced it."""
+        ranking = None
         if self.reads_ranking:
+            ranking, stop = context.rank(sem, context.framework)
+            if stop:
+                return stop
             premise = self.premise(context, ranking)
         else:
             premise = context.premise(self.premise)
-        unfit = self._inapplicable(premise)
-        if unfit:
-            return unfit
-        framework = context.framework
+        if isinstance(premise, str):
+            return _na(premise)
         partners, rows = premise
+        if not rows:
+            return _na(self.na)
+        if ranking is None:
+            ranking, stop = context.rank(sem, context.framework)
+            if stop:
+                return stop
+        framework = context.framework
         relation = self.relation
         spans = [ranking.span(group) for group in partners]
         for a, i in rows:
@@ -370,11 +364,9 @@ class GraftRule:
             yield star, better, worse, a, b
 
     def __call__(self, context: EvalContext, sem: SemanticsRef, _seed: int) -> PropertyVerdict:
-        demands = self.demands(context)
-        first = next(demands, None)
-        if first is None:
-            return _na(self.na)
-        for star, better, worse, a, b in chain([first], demands):
+        any_demand = False
+        for star, better, worse, a, b in self.demands(context):
+            any_demand = True
             ranking, stop = context.rank(sem, star)
             if stop:
                 return stop
@@ -382,7 +374,7 @@ class GraftRule:
                 return _violated(context.framework, (better, worse),
                                  f"{self.note.format(a=a, b=b)} does not leave "
                                  f"{better} strictly above {worse}", star)
-        return _holds()
+        return _holds() if any_demand else _na(self.na)
 
 
 def _pure_roots(attack: bool):
@@ -463,12 +455,13 @@ def _qp_premise(context, ranking):
 
 
 def _attacker_order(context, ranking):
-    """s1 >= s2 per ordered pair of attacker sets: a pair with s2 inside s1
-    holds by the identity, and one with a larger s2 fails on sizes, without
-    a comparison."""
+    """Per attacker set s1, the attacker sets s2 with s1 >= s2: s2 inside s1
+    holds by the identity, and a larger s2 fails on sizes, without a
+    comparison."""
     sets = context.premise(_attacker_classes)[0]
-    return {(s1, s2): s2 <= s1 or len(s1) >= len(s2) and group_geq(s1, s2, ranking)
-            for s1 in sets for s2 in sets}
+    return {s1: frozenset(s2 for s2 in sets
+                          if s2 <= s1 or len(s1) >= len(s2) and group_geq(s1, s2, ranking))
+            for s1 in sets}
 
 
 def _group_premise(strict):
@@ -478,7 +471,7 @@ def _group_premise(strict):
     def premise(context, ranking):
         order = context.attacker_order(ranking)
         return _class_rows(context.premise(_attacker_classes),
-                           lambda s2, s1: order[s1, s2] and not (strict and order[s2, s1]))
+                           lambda s2, s1: s2 in order[s1] and not (strict and s1 in order[s2]))
     return premise
 
 

@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .axioms import VerdictStatus, check, parse_property
+from .axioms import PROPERTY_ORDER, VerdictStatus, check, parse_property
 from .framework import ApxError, ArgFramework, CyclicFrameworkError, parse_apx, serialize_apx
 from .fuzz import (
     FuzzBudget,
@@ -56,8 +56,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                              "stop earlier once their order is decided")
     parser.add_argument("--mt-cap", type=int, default=DEFAULT_CONFIG.mt_cap,
                         help="largest argument count the game semantics accepts")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomised checks (default: RANKARG_SEED or 0)")
 
 
 def _config(args) -> SolverConfig:
@@ -172,10 +170,7 @@ def cmd_fuzz(args) -> int:
     for sid in semantics:
         lane_ref(sid, budget)  # an unknown name exits before --out is created
     properties = ([parse_property(p) for p in args.properties.split(",")]
-                  if args.properties else None)
-    kwargs = {"semantics": semantics}
-    if properties:
-        kwargs["properties"] = properties
+                  if args.properties else PROPERTY_ORDER)
     if args.out:
         out = Path(args.out)
         witness_dir = out / "witnesses"
@@ -183,7 +178,7 @@ def cmd_fuzz(args) -> int:
             witness_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    report = run_default_matrix(budget, **kwargs)
+    report = run_default_matrix(budget, semantics=semantics, properties=properties)
     text = render_matrix_text(report)
     print(text, end="")
     if args.out:
@@ -260,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", help="Abs In VP DP CT SCT CP QP DDP SC +DB! +DB ^AB ^DB +AB Tot NaE AvsFD")
     p.add_argument("semantics", choices=SEMANTICS_IDS)
     _add_config_flags(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the randomised Abs renamings (default: RANKARG_SEED or 0)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="satisfaction matrix over the default corpora")

@@ -118,27 +118,16 @@ def shrink_witness(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
             return False
         return check(prop, candidate, sem, seed=seed).status is VerdictStatus.VIOLATED
 
-    return _shrink_loop(framework, still_violated)
-
-
-def _shrink_loop(current, still_violated):
-    changed = True
-    while changed:
-        changed = False
-        for arg in sorted(current.arguments):
-            candidate = current.without_argument(arg)
-            if still_violated(candidate):
-                current = candidate
-                changed = True
-                break
-    changed = True
-    while changed:
-        changed = False
-        for attack in sorted(current.attacks):
-            candidate = current.without_attack(attack)
-            if still_violated(candidate):
-                current = candidate
-                changed = True
+    current = framework
+    for parts, remove in ((lambda f: f.arguments, ArgFramework.without_argument),
+                          (lambda f: f.attacks, ArgFramework.without_attack)):
+        while True:
+            for part in sorted(parts(current)):
+                candidate = remove(current, part)
+                if still_violated(candidate):
+                    current = candidate
+                    break
+            else:
                 break
     return current
 
@@ -345,18 +334,14 @@ def render_matrix_text(report: MatrixReport) -> str:
     for prop in report.properties:
         row = [prop.value.ljust(10)]
         for sid in sids:
-            cell = report.cells.get((sid, prop))
-            if cell is None:
-                row.append("?".rjust(width))
-                continue
+            cell = report.cells[(sid, prop)]
             if cell.violations:
                 mark = "X"
             elif cell.holds:
                 mark = "ok"
             else:
                 mark = "-"
-            want = EXPECTED_SATISFACTION.get((sid, prop))
-            expected_mark = {True: "ok", False: "X", None: "-"}.get(want, "?")
+            expected_mark = {True: "ok", False: "X", None: "-"}[EXPECTED_SATISFACTION[(sid, prop)]]
             row.append((mark if mark == expected_mark else f"{mark}!").rjust(width))
         lines.append("".join(row))
     if report.dependency_failures:
@@ -370,9 +355,7 @@ def matrix_records(report: MatrixReport) -> Iterator[dict]:
     """Machine-readable record stream, one dict per cell."""
     for prop in report.properties:
         for sid in report.semantics:
-            cell = report.cells.get((sid, prop))
-            if cell is None:
-                continue
+            cell = report.cells[(sid, prop)]
             record = {
                 "semantics": sid,
                 "property": prop.value,
@@ -381,7 +364,7 @@ def matrix_records(report: MatrixReport) -> Iterator[dict]:
                 "holds": cell.holds,
                 "not_applicable": cell.not_applicable,
                 "inconclusive": cell.inconclusive,
-                "expected_satisfied": EXPECTED_SATISFACTION.get((sid, prop)),
+                "expected_satisfied": EXPECTED_SATISFACTION[(sid, prop)],
             }
             if cell.first_witness is not None:
                 base = cell.shrunk if cell.shrunk is not None else cell.first_witness.framework

@@ -182,6 +182,16 @@ def test_malformed_env_seed_exits_2(ex1_path, capsys, monkeypatch):
     assert main(["check", ex1_path, "Abs", "cat"]) == 0
 
 
+@pytest.mark.parametrize("command", [["rank", "{path}", "cat"], ["survey", "{path}"]],
+                         ids=["rank", "survey"])
+def test_seed_is_unknown_where_nothing_is_random(ex1_path, command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([arg.format(path=ex1_path) for arg in command] + ["--seed", "1"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["check", ex1_path, "Abs", "cat", "--seed", "1"]) == 0
+
+
 def test_survey_contains_all_rows(ex1_path, capsys):
     assert main(["survey", ex1_path]) == 0
     out = capsys.readouterr().out

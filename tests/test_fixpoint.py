@@ -5,12 +5,13 @@ are kept here as reference implementations."""
 
 import random
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from rankarg import semantics
-from rankarg.catalog import two_cycle
+from rankarg.catalog import example1, figure2, two_cycle
 from rankarg.framework import ArgFramework
 from rankarg.fuzz import GenSpec, gen_random
 from rankarg.orders import ranking_from_scores
@@ -218,6 +219,37 @@ def test_over_budget_converges_by_damped_steps(monkeypatch):
             damped = solve(f)
             assert residual(f, damped) < 1e-11
             assert max(abs(damped[a] - newton[sid, f][a]) for a in f.arguments) < 1e-9
+
+
+def singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def not_finite(jacobian, rhs):
+    return np.full_like(rhs, np.nan)
+
+
+@pytest.mark.parametrize("failure", [singular, not_finite], ids=["singular", "not-finite"])
+def test_unusable_newton_directions_fall_back_to_damped_steps(monkeypatch, failure):
+    # a Jacobian solve that raises, or answers with NaNs, leaves the solve to
+    # damped steps, which must reach the same ranking within tol
+    frameworks = [example1(), figure2()] + list(islice(gen_random(GenSpec((2, 12), 0.5, seed=3)), 40))
+    newton = {(sid, f): solve(f) for sid, solve, _, _ in CASES for f in frameworks}
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return failure(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for sid, solve, _, residual in CASES:
+        tol = SCORE_TIE_TOL[sid]
+        for f in frameworks:
+            damped = solve(f)
+            assert residual(f, damped) <= CFG.tol, sorted(f.attacks)
+            assert (ranking_from_scores(damped, tol=tol).equivalence_classes()
+                    == ranking_from_scores(newton[sid, f], tol=tol).equivalence_classes())
+    assert calls[0] > 0
 
 
 def test_newton_converges_within_fifteen_steps():
