@@ -13,7 +13,10 @@ witnesses/) are compared file by file: every path that differs or exists
 on one side only is printed, then one summary line per seed.  One more
 run, ``fuzz --seed 0 --trials 300 --properties SCT,QP``, is compared the
 same way: it checks SCT without CT, so SCT builds its own attacker-set
-order in a context that CT never filled.
+order in a context that CT never filled.  After each fuzz run, every
+``witnesses/*.json`` of each tree's output is replayed with that tree's
+code (``rankarg witness FILE``, in one driver process per tree, as below);
+a replay that exits other than 0 counts as a difference.
 
 Then ``python -m rankarg.cli rank FILE SID --format json`` runs in both
 trees for each of the seven semantics on each rank input: data/*.apx,
@@ -35,7 +38,8 @@ starts twice, not once per request.  Each request whose exit status or
 stdout differs is printed, then one summary line.
 
 The exit status is 1 when any fuzz run, rank, survey or check request
-differs, and 0 when every output is byte-identical.
+differs or a witness fails to replay, and 0 when every output is
+byte-identical and every witness replays.
 """
 
 from __future__ import annotations
@@ -88,18 +92,27 @@ def differences(base: Path, change: Path) -> list[str]:
     return lines
 
 
-def compare_fuzz(base_tree: Path, args: tuple[str, ...], tmp: Path) -> tuple[list[str], int]:
-    """(differing paths, files written by this checkout) of one fuzz run."""
+def compare_fuzz(base_tree: Path, args: tuple[str, ...],
+                 tmp: Path) -> tuple[list[str], list[str], int, int]:
+    """(differing paths, failed witness replays, files written by this
+    checkout, witness replays made) of one fuzz run."""
     label = "-".join(args)
-    outs = {"base": tmp / f"base-out{label}", "change": tmp / f"change-out{label}"}
-    runs = {side: start_fuzz(tree, args, outs[side])
-            for side, tree in (("base", base_tree), ("change", ROOT))}
+    trees = {"base": base_tree, "change": ROOT}
+    outs = {side: tmp / f"{side}-out{label}" for side in trees}
+    runs = {side: start_fuzz(tree, args, outs[side]) for side, tree in trees.items()}
     errors = {side: proc.communicate()[1] for side, proc in runs.items()}
     for side, proc in runs.items():
         if proc.returncode:
             raise SystemExit(f"fuzz {' '.join(args)} in the {side} tree exited "
                              f"{proc.returncode}:\n{errors[side]}")
-    return differences(outs["base"], outs["change"]), len(files_under(outs["change"]))
+    witnesses = {side: sorted(out.glob("witnesses/*.json")) for side, out in outs.items()}
+    replays = drive([(f"{side}-witness{label}", trees[side],
+                      [["witness", str(path)] for path in witnesses[side]]) for side in trees], tmp)
+    failed = [f"not replayed: {side} witnesses/{path.name} (exit {code})"
+              for side, outputs in zip(trees, replays)
+              for path, (code, _) in zip(witnesses[side], outputs) if code != 0]
+    return (differences(outs["base"], outs["change"]), failed, len(files_under(outs["change"])),
+            sum(map(len, witnesses.values())))
 
 
 RANK_SIZES = (60, 78, 96, 114, 132, 150)
@@ -161,24 +174,33 @@ for args in json.load(sys.stdin):
 """
 
 
-def compare_requests(base_tree: Path, requests: list[list[str]], tmp: Path) -> list[str]:
-    """One line per CLI request (``[command, FILE, ...]``) whose exit status
-    or stdout differs between the two trees."""
-    command = requests[0][0]
-    (tmp / f"{command}.json").write_text(json.dumps(requests))
+def drive(jobs: list[tuple[str, Path, list[list[str]]]], tmp: Path) -> list[list[list]]:
+    """Per (label, tree, requests) job, the [exit status, stdout] of each
+    request; each job runs CLI_DRIVER in one process of its own tree, and
+    the jobs run side by side."""
     runs = []
-    for side, tree in (("base", base_tree), ("change", ROOT)):
-        with (open(tmp / f"{command}.json") as stdin, open(tmp / f"{side}-{command}.out", "w") as out,
-              open(tmp / f"{side}-{command}.err", "w") as err):
+    for label, tree, requests in jobs:
+        (tmp / f"{label}.json").write_text(json.dumps(requests))
+        with (open(tmp / f"{label}.json") as stdin, open(tmp / f"{label}.out", "w") as out,
+              open(tmp / f"{label}.err", "w") as err):
             runs.append(subprocess.Popen([sys.executable, "-c", CLI_DRIVER], cwd=tree,
                                          env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                                          stdin=stdin, stdout=out, stderr=err))
     outputs = []
-    for proc, side in zip(runs, ("base", "change")):
+    for proc, (label, _, _) in zip(runs, jobs):
         if proc.wait():
-            raise SystemExit(f"the {command} driver in the {side} tree exited {proc.returncode}:\n"
-                             + (tmp / f"{side}-{command}.err").read_text())
-        outputs.append([json.loads(line) for line in (tmp / f"{side}-{command}.out").open()])
+            raise SystemExit(f"the {label} driver exited {proc.returncode}:\n"
+                             + (tmp / f"{label}.err").read_text())
+        outputs.append([json.loads(line) for line in (tmp / f"{label}.out").open()])
+    return outputs
+
+
+def compare_requests(base_tree: Path, requests: list[list[str]], tmp: Path) -> list[str]:
+    """One line per CLI request (``[command, FILE, ...]``) whose exit status
+    or stdout differs between the two trees."""
+    command = requests[0][0]
+    outputs = drive([(f"{side}-{command}", tree, requests)
+                     for side, tree in (("base", base_tree), ("change", ROOT))], tmp)
     return [f"differs: {' '.join([command, Path(path).name, *rest])} (exit {base[0]} vs {change[0]})"
             for (_, path, *rest), base, change in zip(requests, *outputs) if base != change]
 
@@ -195,14 +217,15 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         export(args.base, tmp / "base")
         for run in [("--seed", str(seed)) for seed in args.seed] + [SUBSET_RUN]:
-            lines, count = compare_fuzz(tmp / "base", run, tmp)
+            lines, failed, count, replays = compare_fuzz(tmp / "base", run, tmp)
             command = "fuzz " + " ".join(run)
-            for line in lines:
+            for line in lines + failed:
                 print(line)
-            print(f"{command}: {len(lines)} of the paths differ" if lines
-                  else f"identical: {count} files, {command}, {args.base} vs this checkout",
-                  flush=True)
-            differ = differ or bool(lines)
+            print(f"{command}: {len(lines)} of the paths differ, {len(failed)} of {replays} "
+                  f"witness replays fail" if lines or failed
+                  else f"identical: {count} files, {command}, {args.base} vs this checkout; "
+                       f"{replays} witness replays exit 0", flush=True)
+            differ = differ or bool(lines or failed)
         inputs = rank_inputs(tmp)
         lines, requests = compare_ranks(tmp / "base", inputs)
         for line in lines:

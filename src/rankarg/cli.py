@@ -3,8 +3,8 @@
 Exit codes: 0 success (check: Holds/NotApplicable; witness: confirmed), 1
 check found a violation or a witness failed to replay, 2 input/parse error
 (including a malformed witness file, a solver setting SolverConfig refuses,
-a fuzz budget FuzzBudget refuses, a fuzz --out directory that cannot be
-made and a non-integer RANKARG_SEED), 3 semantics error (cycle, size cap,
+a fuzz budget FuzzBudget refuses, and a fuzz --out directory or report file
+that cannot be written), 3 semantics error (cycle, size cap,
 non-convergence) or Inconclusive verdict.
 """
 
@@ -26,7 +26,6 @@ from .fuzz import (
     matrix_records,
     render_matrix_text,
     run_default_matrix,
-    witness_record,
 )
 from .orders import Ranking
 from .semantics import (
@@ -60,16 +59,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    value = os.environ.get("RANKARG_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"RANKARG_SEED must be an integer, not {value!r}") from None
 
 
 def _load(path: str) -> ArgFramework:
@@ -138,7 +127,7 @@ def cmd_check(args) -> int:
     framework = _load(args.input)
     prop = parse_property(args.property)
     verdict = check(prop, framework, SemanticsRef(args.semantics, _config(args)),
-                    seed=_seed(args))
+                    seed=args.seed)
     print(f"{prop.value} under {args.semantics}: {verdict.status.value}"
           + (f" ({verdict.detail})" if verdict.detail else ""))
     if verdict.status is VerdictStatus.VIOLATED:
@@ -153,15 +142,23 @@ def cmd_check(args) -> int:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    with os.fdopen(fd, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write ``text`` to ``path`` through a temporary file beside it; on any
+    OSError the temporary file is removed and a ValueError names the path."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_fuzz(args) -> int:
     try:
-        budget = FuzzBudget(seed=_seed(args), random_trials=args.trials,
+        budget = FuzzBudget(seed=args.seed, random_trials=args.trials,
                             mt_random_trials=args.mt_trials)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -193,7 +190,8 @@ def cmd_fuzz(args) -> int:
             stem = stem.replace("^", "inc_").replace("+", "plus_")
             _atomic_write(witness_dir / f"{stem}.apx", record["witness_apx"])
             cfg = lane_ref(record["semantics"], budget).cfg
-            _atomic_write(witness_dir / f"{stem}.json", witness_record(record, cfg))
+            witness = {**record, "config": asdict(cfg), "seed": budget.seed}
+            _atomic_write(witness_dir / f"{stem}.json", json.dumps(witness, indent=2))
         print(f"wrote {out}/matrix.txt, records.jsonl and {sum(1 for r in records if 'witness_apx' in r)} witnesses")
     return EXIT_OK
 
@@ -209,20 +207,25 @@ def _witness_config(data) -> SolverConfig:
 
 
 def cmd_witness(args) -> int:
+    """Replay a witness file: the cell's records.jsonl line plus the
+    ``config`` and ``seed`` its fuzz run used."""
     try:
         payload = json.loads(Path(args.input).read_text())
     except (OSError, ValueError) as exc:
         raise ApxError(f"bad witness file: {exc}")
     if not isinstance(payload, dict):
         raise ApxError("bad witness file: not a JSON object")
-    for key in ("property", "semantics", "apx"):
+    for key in ("property", "semantics", "witness_apx"):
         if not isinstance(payload.get(key), str):
             raise ApxError(f"bad witness file: {key!r} must be a string")
+    seed = payload.get("seed", 0)
+    if type(seed) is not int:
+        raise ApxError("bad witness file: 'seed' must be an integer")
     prop = parse_property(payload["property"])
     sid = payload["semantics"]
-    framework = parse_apx(payload["apx"])
+    framework = parse_apx(payload["witness_apx"])
     cfg = _witness_config(payload.get("config", {}))
-    verdict = check(prop, framework, SemanticsRef(sid, cfg), seed=_seed(args))
+    verdict = check(prop, framework, SemanticsRef(sid, cfg), seed=seed)
     if verdict.status is VerdictStatus.VIOLATED:
         print(f"confirmed: {prop.value} still violated under {sid} "
               f"(pair {verdict.witness.pair[0]} over {verdict.witness.pair[1]})")
@@ -255,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", help="Abs In VP DP CT SCT CP QP DDP SC +DB! +DB ^AB ^DB +AB Tot NaE AvsFD")
     p.add_argument("semantics", choices=SEMANTICS_IDS)
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the randomised Abs renamings (default: RANKARG_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomised Abs renamings (default %(default)s)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="satisfaction matrix over the default corpora")
@@ -269,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "of 3 (default %(default)s)")
     p.add_argument("--semantics", help="comma-separated subset of " + ",".join(SEMANTICS_IDS))
     p.add_argument("--properties", help="comma-separated property subset")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random corpora and the Abs renamings (default %(default)s)")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("witness", help="re-verify a saved witness record")
     p.add_argument("input", help="witness .json file written by fuzz")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_witness)
     return parser
 

@@ -3,9 +3,8 @@ of property verdicts into a satisfaction matrix with witness shrinking."""
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import catalog
@@ -372,16 +371,3 @@ def matrix_records(report: MatrixReport) -> Iterator[dict]:
                 record["witness_pair"] = list(cell.first_witness.pair)
                 record["witness_key"] = framework_key(base)
             yield record
-
-
-def witness_record(cell_record: dict, config: SolverConfig) -> str:
-    """JSON text for one saved witness, re-playable by the CLI under the
-    ``config`` its cell ran with."""
-    payload = {
-        "property": cell_record["property"],
-        "semantics": cell_record["semantics"],
-        "apx": cell_record["witness_apx"],
-        "pair": cell_record.get("witness_pair"),
-        "config": asdict(config),
-    }
-    return json.dumps(payload, indent=2)

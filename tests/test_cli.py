@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from rankarg.catalog import example1, figure2
+from rankarg import cli, semantics
 from rankarg.cli import main, ranking_text
-from rankarg import semantics
 from rankarg.framework import serialize_apx
 from rankarg.semantics import SemanticsRef
 
@@ -174,12 +174,13 @@ def test_fuzz_unknown_semantics_exits_2_before_the_run(tmp_path, capsys, listed,
     assert not out_dir.exists()
 
 
-def test_malformed_env_seed_exits_2(ex1_path, capsys, monkeypatch):
-    monkeypatch.setenv("RANKARG_SEED", "abc")
-    assert main(["check", ex1_path, "Abs", "cat"]) == 2
-    assert "RANKARG_SEED" in capsys.readouterr().err
-    monkeypatch.setenv("RANKARG_SEED", "3")
-    assert main(["check", ex1_path, "Abs", "cat"]) == 0
+def test_fuzz_report_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    (out_dir / "matrix.txt").mkdir(parents=True)
+    assert main(["fuzz", "--out", str(out_dir), "--trials", "3", "--mt-trials", "3",
+                 "--semantics", "grounded", "--properties", "VP"]) == 2
+    assert f"error: cannot write {out_dir / 'matrix.txt'}" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["matrix.txt", "witnesses"]
 
 
 @pytest.mark.parametrize("command", [["rank", "{path}", "cat"], ["survey", "{path}"]],
@@ -301,7 +302,46 @@ def test_fuzz_witness_records_the_lane_config(tmp_path, capsys):
     assert "confirmed" in capsys.readouterr().out
 
 
-_GOOD_WITNESS = {"property": "VP", "semantics": "cat", "apx": "arg(a).\n"}
+def test_every_witness_is_its_cell_record_and_replays(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    assert main(["fuzz", "--out", str(out_dir), "--trials", "3", "--mt-trials", "3",
+                 "--semantics", "grounded,tuples,mt", "--seed", "7"]) == 0
+    records = [json.loads(line) for line in (out_dir / "records.jsonl").read_text().splitlines()]
+    witnesses = {path.stem: json.loads(path.read_text())
+                 for path in (out_dir / "witnesses").glob("*.json")}
+    assert len(witnesses) == sum("witness_apx" in r for r in records) > 0
+    for witness in witnesses.values():
+        record = {k: v for k, v in witness.items() if k not in ("config", "seed")}
+        assert record in records
+        assert witness["seed"] == 7
+        assert witness["config"]["mt_cap"] == (10 if witness["semantics"] == "mt" else 14)
+    capsys.readouterr()
+    for stem in witnesses:
+        assert main(["witness", str(out_dir / "witnesses" / f"{stem}.json")]) == 0, stem
+        assert "confirmed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_witness_replays_at_the_seed_it_records(tmp_path, monkeypatch, seed):
+    seeds = []
+    replay = cli.check
+    monkeypatch.setattr(cli, "check", lambda *args, seed: seeds.append(seed) or replay(*args, seed=seed))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_GOOD_WITNESS, **({} if seed is None else {"seed": seed})}))
+    assert main(["witness", str(path)]) == 1
+    assert seeds == [0 if seed is None else seed]
+
+
+def test_witness_takes_no_seed_flag(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(_GOOD_WITNESS))
+    with pytest.raises(SystemExit) as raised:
+        main(["witness", str(path), "--seed", "1"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+_GOOD_WITNESS = {"property": "VP", "semantics": "cat", "witness_apx": "arg(a).\n"}
 
 
 @pytest.mark.parametrize("body", [
@@ -309,19 +349,29 @@ _GOOD_WITNESS = {"property": "VP", "semantics": "cat", "apx": "arg(a).\n"}
     "not json",
     "[]",
     json.dumps({**_GOOD_WITNESS, "config": None}),
-    json.dumps({**_GOOD_WITNESS, "apx": 5}),
+    json.dumps({**_GOOD_WITNESS, "witness_apx": 5}),
     json.dumps({**_GOOD_WITNESS, "config": {"max_iter": "x"}}),
     json.dumps({**_GOOD_WITNESS, "config": {"mt_cap": True}}),
     json.dumps({**_GOOD_WITNESS, "config": {"depth": 3}}),
     json.dumps({**_GOOD_WITNESS, "config": {"tol": float("nan")}}),
     json.dumps({**_GOOD_WITNESS, "config": {"epsilon": 10**400}}),
+    json.dumps({"property": "VP", "semantics": "cat", "apx": "arg(a).\n"}),
 ], ids=["empty-object", "not-json", "array", "null-config", "numeric-apx",
         "string-max-iter", "bool-mt-cap", "unknown-config-field", "nan-tol",
-        "huge-int-epsilon"])
-def test_witness_rejects_garbage(tmp_path, body):
+        "huge-int-epsilon", "old-apx-key"])
+def test_witness_rejects_garbage(tmp_path, capsys, body):
     bad = tmp_path / "w.json"
     bad.write_text(body)
     assert main(["witness", str(bad)]) == 2
+    assert "bad witness file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [True, "7", 7.0], ids=["bool", "string", "float"])
+def test_witness_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys, seed):
+    bad = tmp_path / "w.json"
+    bad.write_text(json.dumps({**_GOOD_WITNESS, "seed": seed}))
+    assert main(["witness", str(bad)]) == 2
+    assert "'seed' must be an integer" in capsys.readouterr().err
 
 
 def test_witness_not_reproduced(tmp_path, capsys):
@@ -329,7 +379,7 @@ def test_witness_not_reproduced(tmp_path, capsys):
     good.write_text(json.dumps({
         "property": "VP",
         "semantics": "cat",
-        "apx": serialize_apx(example1()),
+        "witness_apx": serialize_apx(example1()),
     }))
     assert main(["witness", str(good)]) == 1
     assert "NOT reproduced" in capsys.readouterr().out

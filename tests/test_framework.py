@@ -22,6 +22,7 @@ from rankarg.framework import (
     graft_branch,
     has_cycle,
     parse_apx,
+    rename,
     serialize_apx,
     walk_counts,
 )
@@ -311,6 +312,24 @@ def test_walk_counts_example1(ex1):
     table = walk_counts(ex1, 2)
     assert [table.count_in(a, 1) for a in "abcde"] == [2, 0, 1, 1, 2]
     assert [table.count_in(a, 2) for a in "abcde"] == [1, 0, 0, 2, 3]
+
+
+def test_edits_and_queries_refuse_what_the_framework_lacks(ex1):
+    with pytest.raises(UnknownArgumentError, match=r"unknown arguments \['y', 'z'\]"):
+        ex1.restricted_to(["a", "z", "y"])
+    with pytest.raises(FrameworkError, match="no attack"):
+        ex1.without_attack(("b", "b"))
+    table = walk_counts(ex1, 2)
+    with pytest.raises(UnknownArgumentError, match="unknown argument 'zz'"):
+        table.count_in("zz", 1)
+    for length in (0, 3):
+        with pytest.raises(ValueError, match=r"length \d outside 1\.\.2"):
+            table.count_in("a", length)
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        walk_counts(ex1, 0)
+    for mapping in ({a: "x" for a in ex1.arguments}, {"a": "x"}):
+        with pytest.raises(FrameworkError, match="bijection"):
+            rename(ex1, mapping)
 
 
 def test_walk_counts_no_attackers():

@@ -183,6 +183,23 @@ def test_records_and_rendering():
     assert "AvsFD" in text and "cat" in text
 
 
+def test_rendering_marks_never_applied_cells_and_lists_audit_failures():
+    # SC never applies without a self-attack, which the table expects of
+    # tuples only; VP => not CP-violated is no theorem and fails on figure 2
+    report = build_matrix([figure2()], [SemanticsRef("cat"), SemanticsRef("tuples")],
+                          [PropertyId.SC, PropertyId.VP, PropertyId.CP],
+                          dependency_rules=(((PropertyId.VP,), PropertyId.CP),))
+    assert render_matrix_text(report) == (
+        "property       cat  tuples\n"
+        "--------------------------\n"
+        "SC              -!       -\n"
+        "VP              ok      ok\n"
+        "CP             ok!       X\n"
+        "\n"
+        "dependency audit failures:\n"
+        "  tuples on 4ac315ebb63f5299: VP hold but CP is violated\n")
+
+
 def test_matrix_solves_each_ranking_once_per_pair(monkeypatch):
     # cat cannot converge in two steps here, so every solve is a refusal;
     # the memo stores refusals too

@@ -99,6 +99,14 @@ def test_ranking_rejects_intransitive():
         pair_ranking("abc", [("a", "b"), ("b", "c")])  # missing (a, c)
 
 
+def test_ranking_refuses_unknown_names_and_foreign_comparisons():
+    r = Ranking.from_classes([["a"], ["b", "c"]])
+    with pytest.raises(ValueError, match="unknown argument z"):
+        r.span(["a", "z"])
+    assert r != "a > b = c"
+    assert repr(r) == "Ranking(a > b = c)"
+
+
 def test_partial_ranking_classes_topological():
     r = pair_ranking("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")])
     classes = [min(c) for c in r.equivalence_classes()]
