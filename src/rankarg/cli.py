@@ -156,6 +156,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _witness_stem(sid: str, prop: str) -> str:
+    """File name stem of a cell's witness, e.g. cat_plus_DBs for cat and +DB!."""
+    return f"{sid}_{prop}".replace("!", "s").replace("^", "inc_").replace("+", "plus_")
+
+
 def cmd_fuzz(args) -> int:
     try:
         budget = FuzzBudget(seed=args.seed, random_trials=args.trials,
@@ -183,16 +188,21 @@ def cmd_fuzz(args) -> int:
         records = list(matrix_records(report))
         _atomic_write(out / "records.jsonl",
                       "".join(json.dumps(r) + "\n" for r in records))
-        for record in records:
-            if "witness_apx" not in record:
-                continue
-            stem = f"{record['semantics']}_{record['property']}".replace("!", "s")
-            stem = stem.replace("^", "inc_").replace("+", "plus_")
+        witnessed = {_witness_stem(r["semantics"], r["property"]): r
+                     for r in records if "witness_apx" in r}
+        cells = {_witness_stem(sid, p.value) for sid in SEMANTICS_IDS for p in PROPERTY_ORDER}
+        try:  # an earlier run's witnesses of the cells that have none in this run
+            for stem in cells - witnessed.keys():
+                (witness_dir / f"{stem}.apx").unlink(missing_ok=True)
+                (witness_dir / f"{stem}.json").unlink(missing_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot remove {exc.filename}: {exc.strerror}") from None
+        for stem, record in witnessed.items():
             _atomic_write(witness_dir / f"{stem}.apx", record["witness_apx"])
             cfg = lane_ref(record["semantics"], budget).cfg
             witness = {**record, "config": asdict(cfg), "seed": budget.seed}
             _atomic_write(witness_dir / f"{stem}.json", json.dumps(witness, indent=2))
-        print(f"wrote {out}/matrix.txt, records.jsonl and {sum(1 for r in records if 'witness_apx' in r)} witnesses")
+        print(f"wrote {out}/matrix.txt, records.jsonl and {len(witnessed)} witnesses")
     return EXIT_OK
 
 

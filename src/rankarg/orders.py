@@ -6,6 +6,7 @@ The dbs and bbs rankings are built level by level in semantics._lex_ranking
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 
@@ -98,15 +99,17 @@ class Ranking:
         ranking._store(levels, None)
         return ranking
 
-    def _store(self, classes: list[frozenset[str]], down: list[frozenset[int]] | None) -> None:
-        """Store ``classes`` with their down-sets; None stores a total preorder."""
+    def _store(self, classes: list[frozenset[str]], down: list[frozenset[int]] | None,
+               level: dict[str, int] | None = None, arguments: tuple[str, ...] | None = None) -> None:
+        """Store ``classes`` with their down-sets (None: a total preorder) and,
+        unless given, derive ``level`` and the sorted ``arguments`` from them."""
         self._classes = tuple(classes)
-        self._level = {a: i for i, level in enumerate(classes) for a in level}
+        self._level = {a: i for i, c in enumerate(classes) for a in c} if level is None else level
         self._total = down is None
         self._hash = None
         k = len(classes)
         self._down = tuple(range(i, k) for i in range(k)) if down is None else tuple(down)
-        self.arguments: tuple[str, ...] = tuple(sorted(self._level))
+        self.arguments: tuple[str, ...] = tuple(sorted(self._level)) if arguments is None else arguments
 
     def _levels(self, a: str, b: str) -> tuple[int, int]:
         try:
@@ -309,21 +312,25 @@ def ranking_from_scores(scores: Mapping[str, float], direction: str = "higher",
     """Total preorder from a score table.
 
     ``direction`` is ``"higher"`` (bigger score is better) or ``"lower"``.
-    Ties are declared by :func:`cluster_ranks` of the scores, negated for
-    ``"higher"``; clustering keeps the result transitive even when several
-    scores sit within tolerance of each other in a chain.
+    Ties are declared as :func:`cluster_ranks` declares them for the scores,
+    negated for ``"higher"``; clustering keeps the result transitive even
+    when several scores sit within tolerance of each other in a chain.
     """
     if direction not in ("higher", "lower"):
         raise ValueError(f"direction must be 'higher' or 'lower', got {direction!r}")
     for a, s in scores.items():
-        if s != s or s in (float("inf"), float("-inf")):
+        if not -math.inf < s < math.inf:  # false for nan too
             raise ValueError(f"non-finite score for {a}: {s}")
     names = sorted(scores)
-    ranks = cluster_ranks([-scores[a] if direction == "higher" else scores[a] for a in names], tol)
-    classes: list[list[str]] = [[] for _ in set(ranks)]
-    for a, rank in zip(names, ranks):
-        classes[rank].append(a)
-    return Ranking.from_classes(classes)
+    classes, level, last = [], {}, None
+    for a in sorted(names, key=scores.__getitem__, reverse=direction == "higher"):
+        if last is None or abs(scores[a] - last) > tol:  # the gap of the negated scores too
+            classes.append([])
+        classes[-1].append(a)
+        level[a], last = len(classes) - 1, scores[a]
+    ranking = Ranking.__new__(Ranking)
+    ranking._store([frozenset(c) for c in classes], None, level, tuple(names))
+    return ranking
 
 
 def cluster_ranks(values: Sequence[float], tol: float) -> list[int]:

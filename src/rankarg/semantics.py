@@ -104,9 +104,12 @@ _NEWTON_DECREASE = 0.5
 #: Step halvings the Newton line search tries before it gives up.
 _LINE_SEARCH_HALVINGS = 10
 #: Largest dense Jacobian (8 * n * n bytes) a Newton step may allocate;
-#: np.linalg.solve takes one more copy of the same size.  The default admits
+#: _gesv takes one more copy of the same size.  The default admits
 #: n <= 2896; larger frameworks take damped steps only.
 _JACOBIAN_BUDGET_BYTES = 64 * 2**20
+#: LAPACK's gesv, the gufunc np.linalg.solve wraps, without the wrapper's checks
+#: and errstate: a singular matrix gives NaNs and an invalid flag the solve silences.
+_gesv = np.linalg._umath_linalg.solve1
 #: Largest memory the mt games of one framework may take.  The table of
 #: conflict-free proponent sets x distinct opponent signatures is charged
 #: _MT_LIVE_ARRAYS times its 8-byte entries (building it holds its keys and
@@ -154,37 +157,40 @@ def _solve_fixpoint(framework, upper, fmap, slopes, cfg, label):
     oscillation of dense attack cycles.  The solve stops once the residual
     is at most cfg.tol, and raises NonConvergenceError, naming its damped
     and Newton steps and the residual reached, when cfg.max_iter steps of
-    any kind have not got there.
+    any kind have not got there; numpy's divide and invalid warnings are off.
     """
     names, src, dst = _edge_arrays(framework)
     n = len(names)
     # Flat positions of the attacks' Jacobian entries (unique, as the attacks are).
     newton_at = dst * n + src if 8 * n * n <= _JACOBIAN_BUDGET_BYTES else None
 
-    x = np.full(n, upper)
-    fx = fmap(x, src, dst)
-    residual = _max_abs(x - fx)
-    damping, best, stalled = _DAMPING, residual, 0
-    damped = newton = 0
-    while residual > cfg.tol:
-        if damped + newton >= cfg.max_iter:
-            raise NonConvergenceError(
-                f"{label} did not converge within {damped + newton} iterations "
-                f"({damped} damped, {newton} Newton; residual {residual:.1e})")
-        found = None
-        if newton_at is not None and residual < _NEWTON_GATE:
-            found = _newton_step(x, fx, residual, upper, fmap, slopes, src, dst, newton_at)
-        if found is None:
-            damped += 1
-            x = x + damping * (fx - x)
-            fx = fmap(x, src, dst)
-            residual = _max_abs(x - fx)
-            best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
-            if stalled == _STALL_STEPS:
-                damping, stalled = damping * 0.5, 0
-        else:
-            newton += 1
-            x, fx, residual = found
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.full(n, upper)
+        fx = fmap(x, src, dst)
+        d = fx - x  # max|d| is the residual max|x - F(x)|, exactly
+        residual = _max_abs(d)
+        damping, best, stalled = _DAMPING, residual, 0
+        damped = newton = 0
+        while residual > cfg.tol:
+            if damped + newton >= cfg.max_iter:
+                raise NonConvergenceError(
+                    f"{label} did not converge within {damped + newton} iterations "
+                    f"({damped} damped, {newton} Newton; residual {residual:.1e})")
+            found = None
+            if newton_at is not None and residual < _NEWTON_GATE:
+                found = _newton_step(x, fx, d, residual, upper, fmap, slopes, src, dst, newton_at)
+            if found is None:
+                damped += 1
+                x = x + damping * d
+                fx = fmap(x, src, dst)
+                d = fx - x
+                residual = _max_abs(d)
+                best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+                if stalled == _STALL_STEPS:
+                    damping, stalled = damping * 0.5, 0
+            else:
+                newton += 1
+                x, fx, d, residual = found
     return dict(zip(names, x.tolist()))
 
 
@@ -193,27 +199,25 @@ def _max_abs(d):
     return np.maximum.reduce(np.abs(d), initial=0.0)
 
 
-def _newton_step(x, fx, residual, upper, fmap, slopes, src, dst, newton_at):
-    """(x, F(x), residual) after one Newton step, or None if no trial cuts
-    the residual below _NEWTON_DECREASE times its current value.
-    ``newton_at`` holds each attack's flat position in the n x n Jacobian."""
+def _newton_step(x, fx, d, residual, upper, fmap, slopes, src, dst, newton_at):
+    """(x, F(x), F(x) - x, residual) after one Newton step from d = F(x) - x,
+    or None if no trial cuts the residual below _NEWTON_DECREASE times its
+    current value.  ``newton_at`` holds each attack's flat Jacobian position."""
     n = len(x)
     jacobian = np.zeros(n * n)
     jacobian[newton_at] = slopes(x, fx, src, dst)
     jacobian[::n + 1] += 1.0
-    try:
-        direction = np.linalg.solve(jacobian.reshape(n, n), fx - x)
-    except np.linalg.LinAlgError:
-        return None
+    direction = _gesv(jacobian.reshape(n, n), d)
     if not np.isfinite(direction).all():
         return None
     step = 1.0
     for _ in range(_LINE_SEARCH_HALVINGS):
         trial = np.minimum(np.maximum(x + step * direction, 0.0), upper)
         f_trial = fmap(trial, src, dst)
-        trial_residual = _max_abs(trial - f_trial)
+        d_trial = f_trial - trial
+        trial_residual = _max_abs(d_trial)
         if trial_residual < _NEWTON_DECREASE * residual:
-            return trial, f_trial, trial_residual
+            return trial, f_trial, d_trial, trial_residual
         step *= 0.5
     return None
 
@@ -278,8 +282,7 @@ def saf_scores(framework: ArgFramework, cfg: SolverConfig = DEFAULT_CONFIG) -> d
                 out[at_one] = np.where(alone, tau * product[targets], 0.0)
         return out
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")
+    return _solve_fixpoint(framework, tau, fmap, slopes, cfg, "social model")
 
 
 def saf_residual(framework: ArgFramework, scores: dict[str, float], cfg: SolverConfig = DEFAULT_CONFIG) -> float:

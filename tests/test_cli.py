@@ -321,6 +321,28 @@ def test_every_witness_is_its_cell_record_and_replays(tmp_path, capsys):
         assert "confirmed" in capsys.readouterr().out
 
 
+def test_fuzz_out_clears_an_earlier_runs_witnesses(tmp_path, capsys):
+    # a grounded run leaves 22 witness files; a cat VP run into the same
+    # directory writes none and must leave none of them behind
+    out_dir, fresh = tmp_path / "report", tmp_path / "fresh"
+    assert main(["fuzz", "--out", str(out_dir), "--semantics", "grounded",
+                 "--trials", "3", "--mt-trials", "3"]) == 0
+    witness_dir = out_dir / "witnesses"
+    assert len(list(witness_dir.iterdir())) == 22
+    (witness_dir / "notes.txt").write_text("kept")
+    (witness_dir / "grounded_VP.txt").write_text("kept")
+    (witness_dir / "other.json").write_text("{}")
+    for target in (out_dir, fresh):
+        assert main(["fuzz", "--out", str(target), "--semantics", "cat", "--properties", "VP"]) == 0
+    assert sorted(p.name for p in witness_dir.iterdir()) == ["grounded_VP.txt", "notes.txt",
+                                                           "other.json"]
+    for name in ("records.jsonl", "matrix.txt"):
+        assert (out_dir / name).read_text() == (fresh / name).read_text()
+    capsys.readouterr()
+    assert main(["witness", str(witness_dir / "grounded_VP.json")]) == 2
+    assert "grounded_VP.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [None, 7])
 def test_witness_replays_at_the_seed_it_records(tmp_path, monkeypatch, seed):
     seeds = []

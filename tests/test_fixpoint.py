@@ -26,6 +26,8 @@ from rankarg.semantics import (
 )
 
 CFG = SolverConfig()
+#: The Newton step's solve, kept before any test patches it.
+GESV = semantics._gesv
 
 
 def ladder_fixpoint(framework, start, step, cfg):
@@ -213,7 +215,7 @@ def test_over_budget_converges_by_damped_steps(monkeypatch):
         raise AssertionError("Newton step taken above the Jacobian budget")
 
     monkeypatch.setattr(semantics, "_JACOBIAN_BUDGET_BYTES", 0)
-    monkeypatch.setattr(np.linalg, "solve", no_newton)
+    monkeypatch.setattr(semantics, "_gesv", no_newton)
     for sid, solve, _, residual in CASES:
         for f in frameworks:
             damped = solve(f)
@@ -221,8 +223,9 @@ def test_over_budget_converges_by_damped_steps(monkeypatch):
             assert max(abs(damped[a] - newton[sid, f][a]) for a in f.arguments) < 1e-9
 
 
-def singular(*args):
-    raise np.linalg.LinAlgError("Singular matrix")
+def singular(jacobian, rhs):
+    """LAPACK's own answer for a singular Jacobian: the zero matrix."""
+    return GESV(np.zeros_like(jacobian), rhs)
 
 
 def not_finite(jacobian, rhs):
@@ -231,8 +234,8 @@ def not_finite(jacobian, rhs):
 
 @pytest.mark.parametrize("failure", [singular, not_finite], ids=["singular", "not-finite"])
 def test_unusable_newton_directions_fall_back_to_damped_steps(monkeypatch, failure):
-    # a Jacobian solve that raises, or answers with NaNs, leaves the solve to
-    # damped steps, which must reach the same ranking within tol
+    # a singular Jacobian, or a solve that answers with NaNs, leaves the
+    # solve to damped steps, which must reach the same ranking within tol
     frameworks = [example1(), figure2()] + list(islice(gen_random(GenSpec((2, 12), 0.5, seed=3)), 40))
     newton = {(sid, f): solve(f) for sid, solve, _, _ in CASES for f in frameworks}
     calls = [0]
@@ -241,7 +244,7 @@ def test_unusable_newton_directions_fall_back_to_damped_steps(monkeypatch, failu
         calls[0] += 1
         return failure(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(semantics, "_gesv", counted)
     for sid, solve, _, residual in CASES:
         tol = SCORE_TIE_TOL[sid]
         for f in frameworks:
@@ -250,6 +253,35 @@ def test_unusable_newton_directions_fall_back_to_damped_steps(monkeypatch, failu
             assert (ranking_from_scores(damped, tol=tol).equivalence_classes()
                     == ranking_from_scores(newton[sid, f], tol=tol).equivalence_classes())
     assert calls[0] > 0
+
+
+def test_gesv_equals_np_linalg_solve_bit_for_bit():
+    # Jacobians I + S as a Newton step builds them: slopes at seeded attack
+    # positions, self-attacks on the diagonal included
+    rng = np.random.default_rng(27)
+    for n in range(1, 17):
+        for density in (0.15, 0.3, 0.5, 1.0):
+            jacobian = np.eye(n) + (rng.random((n, n)) < density) * rng.random((n, n)) * 3.0
+            rhs = rng.standard_normal(n) * 0.05
+            assert GESV(jacobian, rhs).tobytes() == np.linalg.solve(jacobian, rhs).tobytes()
+
+
+def test_gesv_on_a_singular_jacobian_is_not_finite_and_silent_in_a_cat_solve(monkeypatch):
+    # both arguments of the 2-cycle at 1.0: the cat Jacobian [[1, 1], [1, 1]]
+    singular_jacobian, rhs = np.ones((2, 2)), np.array([0.5, -0.25])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        GESV(singular_jacobian, rhs)
+    answers = []
+
+    def on_singular(jacobian, d):
+        answers.append(GESV(singular_jacobian, rhs))
+        return answers[-1]
+
+    monkeypatch.setattr(semantics, "_gesv", on_singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        categoriser_scores(example1())
+    assert answers and not any(np.isfinite(a).any() for a in answers)
 
 
 def test_newton_converges_within_fifteen_steps():

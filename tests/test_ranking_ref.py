@@ -8,9 +8,12 @@ totality and equality; burden vectors must be bit-identical and
 discussion-count vectors identical.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankarg.framework import branch_profiles, has_cycle, walk_counts
 from rankarg.fuzz import GenSpec, gen_random
@@ -157,6 +160,56 @@ def test_random_vectors_match_per_coordinate_clustering():
     # a tie chain: both gaps lie within the tolerance, its ends 1.2e-9 apart
     chain = [1.2e-9, 0.0, 0.6e-9]
     assert cluster_ranks(chain, tol) == ref_cluster_ranks(chain, tol) == [0, 0, 0]
+
+
+@st.composite
+def tie_chains(draw):
+    """(scores, tol): scores k * tol from one base, k in 0..5, each moved by
+    -1, 0 or +1 ulp, so consecutive gaps straddle the tolerance and equal
+    scores repeat; names in a drawn dict order."""
+    tol = draw(st.sampled_from((1e-9, 1e-6, 0.25)))
+    base = draw(st.sampled_from((0.0, 0.5, -3.0, 1e-9, 7.0)))
+    steps = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from((-1, 0, 1))), max_size=9))
+    names = draw(st.permutations([f"a{i}" for i in range(len(steps))]))
+    values = []
+    for k, ulps in steps:
+        value = base + k * tol
+        for _ in range(abs(ulps)):
+            value = math.nextafter(value, math.copysign(math.inf, ulps))
+        values.append(value)
+    return dict(zip(names, values)), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_chains(), st.sampled_from(("higher", "lower")))
+def test_ranking_from_scores_matches_the_reference(table, direction):
+    scores, tol = table
+    # the reference reads higher scores as better; negation is exact
+    ref = ref_ranking_from_scores(scores if direction == "higher" else
+                                  {a: -s for a, s in scores.items()}, tol)
+    ours = ranking_from_scores(scores, direction, tol)
+    assert_same(ours, ref)
+    # the same ranking as through the audited class constructor
+    expected = Ranking.from_classes(ref.equivalence_classes())
+    assert ours._classes == expected._classes
+    assert ours._level == expected._level
+    assert ours.arguments == expected.arguments == tuple(sorted(scores))
+    assert hash(ours) == hash(expected) and ours == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_chains(), st.lists(st.tuples(st.integers(0, 9), st.sampled_from((math.nan, math.inf, -math.inf))),
+                              min_size=1, max_size=3))
+def test_ranking_from_scores_names_the_first_non_finite_score(table, bad):
+    scores, tol = table
+    items = list(scores.items())
+    for position, value in bad:
+        items.insert(position, (f"z{len(items)}", value))
+    scores = dict(items)
+    first = next(a for a, s in scores.items() if not math.isfinite(s))
+    for direction in ("higher", "lower"):
+        with pytest.raises(ValueError, match=f"^non-finite score for {first}: {scores[first]}$"):
+            ranking_from_scores(scores, direction, tol)
 
 
 def seeded_frameworks():
