@@ -13,7 +13,6 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -155,7 +154,8 @@ def branch_roots(framework: ArgFramework) -> dict[str, tuple[frozenset[str], fro
 ABS_TRIALS = 5
 
 
-def _ranking_or_verdict(sem: SemanticsRef, framework: ArgFramework):
+def _ranking_or_verdict(context, sem: SemanticsRef, framework: ArgFramework):
+    """(ranking, None), or (None, the verdict a refused solve stops at)."""
     try:
         return sem.ranking(framework), None
     except CyclicFrameworkError as exc:
@@ -175,31 +175,27 @@ def _pairs(names: Iterable[str]):
 class EvalContext:
     """What the checks of one framework share, across properties and semantics.
 
-    ``rank(sem, f)`` memoises, per (SemanticsRef, ArgFramework) key, the
-    (ranking, stop verdict) pair of that solve; a refused solve is stored
-    too.  Everything else is built once, when first asked for: the premise
-    classes of the pair rules that do not read the ranking, the order of
-    the framework's attacker sets per distinct ranking (CT and SCT), and the
-    constructions the checks build from ``framework`` -- the Abs renamings
-    per seed, F union a fresh clone of F, the grafts on it per (target,
-    kind) and the connected components.  The caller creates one context per
-    framework, hands it to every check of that framework, and drops it when
-    done, so memory does not grow with the corpus.
+    ``once(build, *args)`` is ``build(context, *args)``, built on the first
+    request and kept under (build, *args).  Everything the checks share goes
+    through it, each value from a module-level builder: the (ranking, stop
+    verdict) pair of each solve (``_ranking_or_verdict``; a refused solve is
+    kept too), the premise classes of the pair rules that do not read the
+    ranking, the attacker-set classes and their order per distinct ranking
+    (``_attacker_classes``, ``_attacker_order``), the branch roots
+    (``_branch_roots``), and the constructions the checks build from
+    ``framework``: the Abs renamings per seed (``_renamings``), F union a
+    fresh clone of F (``_doubled``), the grafts on it per (target, kind)
+    (``_graft``) and the connected components (``_components``).  The caller
+    creates one context per framework, hands it to every check of that
+    framework, and drops it when done, so memory does not grow with the
+    corpus.
     """
 
     def __init__(self, framework: ArgFramework):
         self.framework = framework
-        self._rankings: dict = {}
         self._built: dict = {}
 
-    def rank(self, sem: SemanticsRef, f: ArgFramework):
-        key = (sem, f)
-        found = self._rankings.get(key)
-        if found is None:
-            found = self._rankings[key] = _ranking_or_verdict(sem, f)
-        return found
-
-    def _once(self, build, *args):
+    def once(self, build, *args):
         """``build(self, *args)``, built on the first request."""
         key = (build, *args)
         found = self._built.get(key)
@@ -207,39 +203,10 @@ class EvalContext:
             found = self._built[key] = build(self, *args)
         return found
 
-    def premise(self, build):
-        """``build(self)``: the classes of a premise that does not read the
-        ranking."""
-        return self._once(build)
-
-    def attacker_order(self, ranking: Ranking) -> dict:
-        """s1 -> the frozenset of the framework's attacker sets s2 with s1 >=
-        s2 under ``ranking`` (``orders.group_geq``), per attacker set s1."""
-        return self._once(_attacker_order, ranking)
-
-    @cached_property
-    def components(self) -> list[ArgFramework]:
-        return connected_components(self.framework)
-
-    @cached_property
-    def doubled(self) -> tuple[ArgFramework, dict[str, str]]:
-        """F union a fresh clone of F, and the clone's renaming: every graft
-        of this framework starts from it."""
-        clone, gamma = clone_fresh(self.framework)
-        return disjoint_union(self.framework, clone), gamma
-
-    def renamings(self, seed: int) -> list[tuple[dict[str, str], ArgFramework]]:
-        """The ABS_TRIALS (renaming, renamed framework) pairs Abs tries under
-        ``seed``, in order."""
-        return self._once(_renamings, seed)
-
-    def graft(self, target: str, kind: str) -> tuple[ArgFramework, dict[str, str]]:
-        """``doubled`` with a ``kind`` branch (``graft_branch``) grafted onto
-        the clone's image of target, with the clone's renaming."""
-        return self._once(_graft, target, kind)
-
 
 def _renamings(context: EvalContext, seed: int):
+    """The ABS_TRIALS (renaming, renamed framework) pairs Abs tries under
+    ``seed``, in order."""
     rng = random.Random(seed * 0x9E3779B1 + int(framework_key(context.framework), 16))
     names = sorted(context.framework.arguments)
     built = []
@@ -251,9 +218,26 @@ def _renamings(context: EvalContext, seed: int):
     return built
 
 
+def _components(context: EvalContext) -> list[ArgFramework]:
+    return connected_components(context.framework)
+
+
+def _doubled(context: EvalContext):
+    """F union a fresh clone of F, and the clone's renaming: every graft of
+    the framework starts from it."""
+    clone, gamma = clone_fresh(context.framework)
+    return disjoint_union(context.framework, clone), gamma
+
+
 def _graft(context: EvalContext, target: str, kind: str):
-    doubled, gamma = context.doubled
+    """``_doubled`` with a ``kind`` branch (``graft_branch``) grafted onto the
+    clone's image of target, with the clone's renaming."""
+    doubled, gamma = context.once(_doubled)
     return graft_branch(doubled, gamma[target], kind), gamma
+
+
+def _branch_roots(context: EvalContext):
+    return branch_roots(context.framework)
 
 
 def check(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
@@ -284,7 +268,7 @@ class PairRule:
     pairs a with every argument b != a of partners[i].  The rows come in the
     order they are checked, and within a row b goes in name order.  A
     premise that does not read the ranking is ``premise(context)``, built
-    once per context (``EvalContext.premise``); one that does, flagged by
+    once per context (``context.once(premise)``); one that does, flagged by
     ``reads_ranking``, is ``premise(context, ranking)``.  Either may return
     the reason the property does not apply instead.  ``relation(ranking, a,
     span)`` is a class query (``Ranking.strict_all`` and the like) over a
@@ -310,19 +294,19 @@ class PairRule:
         """
         ranking = None
         if self.reads_ranking:
-            ranking, stop = context.rank(sem, context.framework)
+            ranking, stop = context.once(_ranking_or_verdict, sem, context.framework)
             if stop:
                 return stop
             premise = self.premise(context, ranking)
         else:
-            premise = context.premise(self.premise)
+            premise = context.once(self.premise)
         if isinstance(premise, str):
             return _na(premise)
         partners, rows = premise
         if not rows:
             return _na(self.na)
         if ranking is None:
-            ranking, stop = context.rank(sem, context.framework)
+            ranking, stop = context.once(_ranking_or_verdict, sem, context.framework)
             if stop:
                 return stop
         framework = context.framework
@@ -342,14 +326,14 @@ class GraftRule:
     """A branch-change property: F plus a fresh copy of F, with a ``kind``
     branch grafted onto the copy, must rank one side strictly above the other.
 
-    ``instances(framework)`` yields the (compared argument a, graft target b)
-    pairs in the order they are checked.  The copy of a must win when
+    ``instances(context)`` yields the (compared argument a, graft target b)
+    pairs of the context's framework in the order they are checked.  The copy of a must win when
     ``copy_wins`` is set, and a itself otherwise.  ``na`` is the reason
     given when no instance is yielded, and ``note``, formatted with a and b,
     opens the explanation of the first refused demand.
     """
 
-    instances: Callable[[ArgFramework], Iterable[tuple[str, str]]]
+    instances: Callable[[EvalContext], Iterable[tuple[str, str]]]
     kind: str
     copy_wins: bool
     na: str
@@ -358,8 +342,8 @@ class GraftRule:
     def demands(self, context: EvalContext):
         """(F*, better, worse, a, b) per instance, in order: F* is the
         context's graft for b, built when the instance is reached."""
-        for a, b in self.instances(context.framework):
-            star, gamma = context.graft(b, self.kind)
+        for a, b in self.instances(context):
+            star, gamma = context.once(_graft, b, self.kind)
             better, worse = (gamma[a], a) if self.copy_wins else (a, gamma[a])
             yield star, better, worse, a, b
 
@@ -367,7 +351,7 @@ class GraftRule:
         any_demand = False
         for star, better, worse, a, b in self.demands(context):
             any_demand = True
-            ranking, stop = context.rank(sem, star)
+            ranking, stop = context.once(_ranking_or_verdict, sem, star)
             if stop:
                 return stop
             if not ranking.strict(better, worse):
@@ -379,8 +363,9 @@ class GraftRule:
 
 def _pure_roots(attack: bool):
     """Instances (a, b) with b a pure attack (defense) root of a."""
-    return lambda f: ((a, b) for a, (defense, offense) in sorted(branch_roots(f).items())
-                      for b in sorted(offense - defense if attack else defense - offense))
+    return lambda context: ((a, b) for a, (defense, offense)
+                            in sorted(context.once(_branch_roots).items())
+                            for b in sorted(offense - defense if attack else defense - offense))
 
 
 def _classes(names, key):
@@ -449,7 +434,7 @@ def _dominators(framework, ranking, a, b):
 def _qp_premise(context, ranking):
     # the dominated side must actually have attackers to dominate; reading
     # the empty case as vacuous would fold VP into QP
-    classes = context.premise(_attacker_classes)
+    classes = context.once(_attacker_classes)
     spans = {attackers: ranking.span(attackers) for attackers in classes[0]}
     return _class_rows(classes, lambda ka, kb: bool(ka) and ranking.any_above_all(spans[kb], spans[ka]))
 
@@ -458,7 +443,7 @@ def _attacker_order(context, ranking):
     """Per attacker set s1, the attacker sets s2 with s1 >= s2: s2 inside s1
     holds by the identity, and a larger s2 fails on sizes, without a
     comparison."""
-    sets = context.premise(_attacker_classes)[0]
+    sets = context.once(_attacker_classes)[0]
     return {s1: frozenset(s2 for s2 in sets
                           if s2 <= s1 or len(s1) >= len(s2) and group_geq(s1, s2, ranking))
             for s1 in sets}
@@ -469,8 +454,8 @@ def _group_premise(strict):
     (strict) group comparison against the attackers of a, read off the
     context's attacker-set order: s1 > s2 is s1 >= s2 and not s2 >= s1."""
     def premise(context, ranking):
-        order = context.attacker_order(ranking)
-        return _class_rows(context.premise(_attacker_classes),
+        order = context.once(_attacker_order, ranking)
+        return _class_rows(context.once(_attacker_classes),
                            lambda s2, s1: s2 in order[s1] and not (strict and s1 in order[s2]))
     return premise
 
@@ -510,14 +495,15 @@ def _avsfd_premise(context):
 def _check_in(context, sem, _seed):
     # The pinned depth of the whole is its own depth_for, so the whole shares
     # sem's memo key; a connected framework is its own only component.
-    whole, stop = context.rank(sem, context.framework)
+    whole, stop = context.once(_ranking_or_verdict, sem, context.framework)
     if stop:
         return stop
-    if len(context.components) == 1:
+    components = context.once(_components)
+    if len(components) == 1:
         return _holds()
     pinned = sem.pinned_to(context.framework)
-    for comp in context.components:
-        part, stop = context.rank(pinned, comp)
+    for comp in components:
+        part, stop = context.once(_ranking_or_verdict, pinned, comp)
         if stop:
             return stop
         if len(comp.arguments) == 1 or part.same_order(whole):
@@ -531,12 +517,12 @@ def _check_in(context, sem, _seed):
 
 def _check_abs(context, sem, seed):
     framework = context.framework
-    ranking, stop = context.rank(sem, framework)
+    ranking, stop = context.once(_ranking_or_verdict, sem, framework)
     if stop:
         return stop
     names = sorted(framework.arguments)
-    for gamma, renamed in context.renamings(seed):
-        other, stop = context.rank(sem, renamed)
+    for gamma, renamed in context.once(_renamings, seed):
+        other, stop = context.once(_ranking_or_verdict, sem, renamed)
         if stop:
             return stop
         if ranking.same_order(other, gamma):
@@ -586,10 +572,11 @@ _CHECKERS = {
         "needs both self-attacking and non-self-attacking arguments",
         lambda f, r, a, b: f"{a} not strictly above self-attacker {b}"),
     PropertyId.PLUS_DB_STRICT: GraftRule(
-        lambda f: ((a, a) for a in sorted(f.arguments)), "defense", True,
+        lambda context: ((a, a) for a in sorted(context.framework.arguments)), "defense", True,
         "no argument satisfies the premise", "grafting a defense branch onto the copy of {a}"),
     PropertyId.PLUS_DB: GraftRule(
-        lambda f: ((a, a) for a in sorted(f.arguments) if f.is_attacked(a)), "defense", True,
+        lambda context: ((a, a) for a in sorted(context.framework.arguments)
+                         if context.framework.is_attacked(a)), "defense", True,
         "no argument satisfies the premise", "grafting a defense branch onto the copy of {a}"),
     PropertyId.INC_AB: GraftRule(
         _pure_roots(attack=True), "defense", True,
@@ -598,7 +585,7 @@ _CHECKERS = {
         _pure_roots(attack=False), "defense", False,
         "no argument has a pure attack/defense root", "lengthening the branch rooted at {b}"),
     PropertyId.PLUS_AB: GraftRule(
-        lambda f: ((a, a) for a in sorted(f.arguments)), "attack", False,
+        lambda context: ((a, a) for a in sorted(context.framework.arguments)), "attack", False,
         "no argument satisfies the premise", "grafting an attack branch onto the copy of {a}"),
     PropertyId.TOT: PairRule(
         lambda context: _product(context.framework.arguments, context.framework.arguments), False,

@@ -20,8 +20,11 @@ from rankarg.axioms import (
     _CHECKERS,
     EvalContext,
     PropertyId,
+    _components,
     _holds,
     _na,
+    _ranking_or_verdict,
+    _renamings,
     _violated,
     defense_is_distributed,
     defense_is_simple,
@@ -88,7 +91,7 @@ class RefPairRule:
         framework = context.framework
         ranking = None
         if self.reads_ranking:
-            ranking, stop = context.rank(sem, framework)
+            ranking, stop = context.once(_ranking_or_verdict, sem, framework)
             if stop:
                 return stop
         pairs = self.premise(framework, ranking)
@@ -98,7 +101,7 @@ class RefPairRule:
         if first is None:
             return _na(self.na)
         if ranking is None:
-            ranking, stop = context.rank(sem, framework)
+            ranking, stop = context.once(_ranking_or_verdict, sem, framework)
             if stop:
                 return stop
         for a, b in chain([first], pairs):
@@ -174,14 +177,15 @@ def _avsfd_premise(framework, _):
 
 
 def ref_check_in(context, sem, _seed):
-    whole, stop = context.rank(sem, context.framework)
+    whole, stop = context.once(_ranking_or_verdict, sem, context.framework)
     if stop:
         return stop
-    if len(context.components) == 1:
+    components = context.once(_components)
+    if len(components) == 1:
         return _holds()
     pinned = sem.pinned_to(context.framework)
-    for comp in context.components:
-        part, stop = context.rank(pinned, comp)
+    for comp in components:
+        part, stop = context.once(_ranking_or_verdict, pinned, comp)
         if stop:
             return stop
         for a, b in _pairs(comp.arguments):
@@ -193,12 +197,12 @@ def ref_check_in(context, sem, _seed):
 
 def ref_check_abs(context, sem, seed):
     framework = context.framework
-    ranking, stop = context.rank(sem, framework)
+    ranking, stop = context.once(_ranking_or_verdict, sem, framework)
     if stop:
         return stop
     names = sorted(framework.arguments)
-    for gamma, renamed in context.renamings(seed):
-        other, stop = context.rank(sem, renamed)
+    for gamma, renamed in context.once(_renamings, seed):
+        other, stop = context.once(_ranking_or_verdict, sem, renamed)
         if stop:
             return stop
         for a, b in _pairs(names):

@@ -184,7 +184,7 @@ GROUP_REFS = [SemanticsRef(sid) for sid in ("dbs", "bbs", "grounded")]
 def test_attacker_order_is_built_once_per_context_and_ranking(monkeypatch):
     # dbs and bbs often rank a framework alike; CT and SCT then share one order
     current, asked = [None], []
-    attacker_order, group_geq = EvalContext.attacker_order, axioms.group_geq
+    attacker_order, group_geq = axioms._attacker_order, axioms.group_geq
 
     def tracked(context, ranking):
         current[0] = context
@@ -194,7 +194,7 @@ def test_attacker_order_is_built_once_per_context_and_ranking(monkeypatch):
         asked.append((current[0], ranking, s1, s2))
         return group_geq(s1, s2, ranking)
 
-    monkeypatch.setattr(EvalContext, "attacker_order", tracked)
+    monkeypatch.setattr(axioms, "_attacker_order", tracked)
     monkeypatch.setattr(axioms, "group_geq", counted)
     build_matrix(cyclic_corpus(), GROUP_REFS, [PropertyId.CT, PropertyId.SCT], shrink=False)
     assert 0 < len(asked) == len(set(asked))

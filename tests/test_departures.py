@@ -23,7 +23,14 @@ from fractions import Fraction
 import pytest
 from mt_dense import mt_reward_matrix
 
-from rankarg.axioms import _CHECKERS, EvalContext, PropertyId, VerdictStatus, check
+from rankarg.axioms import (
+    _CHECKERS,
+    EvalContext,
+    PropertyId,
+    VerdictStatus,
+    _ranking_or_verdict,
+    check,
+)
 from rankarg.catalog import example1
 from rankarg.fuzz import FuzzBudget, default_corpora, lane_ref
 from rankarg.game import game_value
@@ -117,7 +124,7 @@ def test_plus_ab_is_refused_only_on_self_attackers(mt_lane):
         context = EvalContext(framework)
         selfish = framework.self_attacking()
         for star, better, worse, a, _ in rule.demands(context):
-            ranking, stop = context.rank(mt, star)
+            ranking, stop = context.once(_ranking_or_verdict, mt, star)
             if stop:  # the graft is over mt's size cap; the check stops here too
                 break
             if not ranking.strict(better, worse):

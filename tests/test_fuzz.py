@@ -221,7 +221,8 @@ def test_matrix_solves_cat_and_saf_through_their_public_names(monkeypatch):
                             solves.update([sid]) or solve(framework, cfg))
     memo = axioms._ranking_or_verdict
     monkeypatch.setattr(axioms, "_ranking_or_verdict",
-                        lambda sem, framework: misses.update([sem.sid]) or memo(sem, framework))
+                        lambda context, sem, framework: misses.update([sem.sid])
+                        or memo(context, sem, framework))
     corpus = list(itertools.islice(gen_random(GenSpec((2, 6), 0.3, seed=3)), 8))
     build_matrix(corpus, [SemanticsRef("cat"), SemanticsRef("saf")])
     assert misses["cat"] > len(corpus) and misses["saf"] > len(corpus)
@@ -302,13 +303,14 @@ def test_matrix_builds_each_construction_once_per_framework(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(axioms, name, counted)
-    graft = EvalContext.graft
+    once = EvalContext.once
 
-    def requested(context, *key):
-        calls["requested"].append((context.framework, *key))
-        return graft(context, *key)
+    def requested(context, build, *key):
+        if build is axioms._graft:
+            calls["requested"].append((context.framework, *key))
+        return once(context, build, *key)
 
-    monkeypatch.setattr(EvalContext, "graft", requested)
+    monkeypatch.setattr(EvalContext, "once", requested)
     corpus = list(enumerate_all(2)) + [example1(), figure2()]
     refs = [SemanticsRef(sid) for sid in ("cat", "saf", "dbs", "bbs", "grounded")]
     build_matrix(corpus, refs, seed=1, shrink=False)
@@ -322,12 +324,24 @@ def test_matrix_builds_each_construction_once_per_framework(monkeypatch):
     assert len(calls["requested"]) > 5 * len(grafts)
 
 
+def test_matrix_builds_branch_roots_once_per_framework(monkeypatch):
+    # ^AB and ^DB read the same roots under every semantics
+    roots = []
+    original = axioms.branch_roots
+    monkeypatch.setattr(axioms, "branch_roots",
+                        lambda framework: roots.append(framework) or original(framework))
+    corpus = list(enumerate_all(2)) + [example1(), figure2()]
+    refs = [SemanticsRef(sid) for sid in ("cat", "dbs", "bbs", "grounded")]
+    build_matrix(corpus, refs, [PropertyId.INC_AB, PropertyId.INC_DB], shrink=False)
+    assert roots == corpus
+
+
 def test_grafts_of_one_context_share_one_doubled_copy():
     context = EvalContext(example1())
-    doubled, gamma = context.doubled
+    doubled, gamma = context.once(axioms._doubled)
     for target in sorted(example1().arguments):
         for kind in ("defense", "attack"):
-            star, star_gamma = context.graft(target, kind)
+            star, star_gamma = context.once(axioms._graft, target, kind)
             assert star_gamma is gamma
             assert star.attacks > doubled.attacks
             assert len(star.arguments - doubled.arguments) == BRANCH_LENGTH[kind]
