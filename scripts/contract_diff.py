@@ -10,7 +10,10 @@ into a temporary directory.  For each seed in turn (0 and 7 without
 tree and in this checkout, side by side, each with its own ``src`` on
 PYTHONPATH.  The two output directories (matrix.txt, records.jsonl and
 witnesses/) are compared file by file: every path that differs or exists
-on one side only is printed, then one summary line per seed.  One more
+on one side only is printed, then one summary line per seed.  Where
+records.jsonl or a witnesses/*.json differs, the line is per cell
+instead, named semantics|property, with the keys of its record that
+differ, e.g. ``differs: records.jsonl cat|AvsFD: witness_pair``.  One more
 run, ``fuzz --seed 0 --trials 300 --properties SCT,QP``, is compared the
 same way: it checks SCT without CT, so SCT builds its own attacker-set
 order in a context that CT never filled.  After each fuzz run, every
@@ -78,8 +81,34 @@ def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
 
+def cell_records(path: Path) -> dict[str, dict]:
+    """The cell records of a records.jsonl (one per line) or of a witness
+    file (one), by semantics|property."""
+    text = path.read_text()
+    records = ([json.loads(line) for line in text.splitlines()] if path.suffix == ".jsonl"
+               else [json.loads(text)])
+    return {f"{r['semantics']}|{r['property']}": r for r in records}
+
+
+def cell_differences(path: str, base: Path, change: Path) -> list[str]:
+    """One line per cell of ``path`` whose record differs or exists on one
+    side only, naming the keys that differ; the path alone when every
+    record is equal and only the bytes differ."""
+    old_cells, new_cells = cell_records(base / path), cell_records(change / path)
+    lines = []
+    for cell in sorted(old_cells.keys() | new_cells.keys()):
+        old, new = old_cells.get(cell), new_cells.get(cell)
+        if old is None or new is None:
+            lines.append(f"only in {'base' if new is None else 'change'}: {path} {cell}")
+        elif old != new:
+            keys = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+            lines.append(f"differs: {path} {cell}: {', '.join(keys)}")
+    return lines or [f"differs: {path}"]
+
+
 def differences(base: Path, change: Path) -> list[str]:
-    """One line per path that differs or exists on one side only, in path order."""
+    """One line per path that differs or exists on one side only, in path
+    order, or per differing cell of a records.jsonl or witness file."""
     base_files, change_files = files_under(base), files_under(change)
     lines = []
     for path in sorted(base_files | change_files):
@@ -87,7 +116,11 @@ def differences(base: Path, change: Path) -> list[str]:
             lines.append(f"only in base: {path}")
         elif path not in base_files:
             lines.append(f"only in change: {path}")
-        elif not filecmp.cmp(base / path, change / path, shallow=False):
+        elif filecmp.cmp(base / path, change / path, shallow=False):
+            continue
+        elif path.endswith((".jsonl", ".json")):
+            lines.extend(cell_differences(path, base, change))
+        else:
             lines.append(f"differs: {path}")
     return lines
 
@@ -221,7 +254,7 @@ def main(argv=None) -> int:
             command = "fuzz " + " ".join(run)
             for line in lines + failed:
                 print(line)
-            print(f"{command}: {len(lines)} of the paths differ, {len(failed)} of {replays} "
+            print(f"{command}: {len(lines)} paths or cells differ, {len(failed)} of {replays} "
                   f"witness replays fail" if lines or failed
                   else f"identical: {count} files, {command}, {args.base} vs this checkout; "
                        f"{replays} witness replays exit 0", flush=True)

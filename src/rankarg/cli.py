@@ -218,7 +218,8 @@ def _witness_config(data) -> SolverConfig:
 
 def cmd_witness(args) -> int:
     """Replay a witness file: the cell's records.jsonl line plus the
-    ``config`` and ``seed`` its fuzz run used."""
+    ``config`` and ``seed`` its fuzz run used.  A violation confirms the
+    witness only at the file's ``witness_pair``, where it records one."""
     try:
         payload = json.loads(Path(args.input).read_text())
     except (OSError, ValueError) as exc:
@@ -231,17 +232,26 @@ def cmd_witness(args) -> int:
     seed = payload.get("seed", 0)
     if type(seed) is not int:
         raise ApxError("bad witness file: 'seed' must be an integer")
+    pair = payload.get("witness_pair")
+    if pair is not None and not (isinstance(pair, list) and len(pair) == 2
+                                 and all(isinstance(name, str) for name in pair)):
+        raise ApxError("bad witness file: 'witness_pair' must be a list of two strings")
     prop = parse_property(payload["property"])
     sid = payload["semantics"]
     framework = parse_apx(payload["witness_apx"])
     cfg = _witness_config(payload.get("config", {}))
     verdict = check(prop, framework, SemanticsRef(sid, cfg), seed=seed)
-    if verdict.status is VerdictStatus.VIOLATED:
-        print(f"confirmed: {prop.value} still violated under {sid} "
-              f"(pair {verdict.witness.pair[0]} over {verdict.witness.pair[1]})")
-        return EXIT_OK
-    print(f"NOT reproduced: verdict is {verdict.status.value}")
-    return EXIT_VIOLATED
+    if verdict.status is not VerdictStatus.VIOLATED:
+        print(f"NOT reproduced: verdict is {verdict.status.value}")
+        return EXIT_VIOLATED
+    found = verdict.witness.pair
+    if pair is not None and tuple(pair) != found:
+        print(f"NOT reproduced: {prop.value} is violated under {sid} at pair {found[0]} over "
+              f"{found[1]}, not at the recorded pair {pair[0]} over {pair[1]}")
+        return EXIT_VIOLATED
+    print(f"confirmed: {prop.value} still violated under {sid} "
+          f"(pair {found[0]} over {found[1]})")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,7 +94,13 @@ class CellReport:
     not_applicable: int = 0
     inconclusive: int = 0
     first_witness: Witness | None = None
-    shrunk: ArgFramework | None = None
+    #: the witness of the last violated check of shrink_witness
+    shrunk_witness: Witness | None = None
+
+    @property
+    def shrunk(self) -> ArgFramework | None:
+        """The shrunk witness's framework, a deletion fixpoint."""
+        return None if self.shrunk_witness is None else self.shrunk_witness.framework
 
 
 @dataclass
@@ -105,30 +111,29 @@ class MatrixReport:
     dependency_failures: list[str] = field(default_factory=list)
 
 
-def shrink_witness(prop: PropertyId, framework: ArgFramework, sem: SemanticsRef,
-                   seed: int = 0) -> ArgFramework:
-    """Greedy deletion of arguments then attacks while the violation persists.
+def shrink_witness(prop: PropertyId, witness: Witness, sem: SemanticsRef,
+                   seed: int = 0) -> Witness:
+    """Greedy deletion of arguments then attacks from ``witness.framework``
+    while the violation persists.
 
-    The result is a deletion fixpoint: removing any single argument or attack
-    loses the violation.
+    The result is the witness of the last violated check, or ``witness``
+    when no deletion keeps the violation.  Its framework is a deletion
+    fixpoint: removing any single argument or attack loses the violation.
     """
-    def still_violated(candidate: ArgFramework) -> bool:
-        if not candidate.arguments:
-            return False
-        return check(prop, candidate, sem, seed=seed).status is VerdictStatus.VIOLATED
-
-    current = framework
     for parts, remove in ((lambda f: f.arguments, ArgFramework.without_argument),
                           (lambda f: f.attacks, ArgFramework.without_attack)):
         while True:
-            for part in sorted(parts(current)):
-                candidate = remove(current, part)
-                if still_violated(candidate):
-                    current = candidate
+            for part in sorted(parts(witness.framework)):
+                candidate = remove(witness.framework, part)
+                if not candidate.arguments:
+                    continue
+                verdict = check(prop, candidate, sem, seed=seed)
+                if verdict.status is VerdictStatus.VIOLATED:
+                    witness = verdict.witness
                     break
             else:
                 break
-    return current
+    return witness
 
 
 def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRef],
@@ -175,7 +180,7 @@ def build_matrix(corpus: Iterable[ArgFramework], semantics: Iterable[SemanticsRe
         for (sid, prop), cell in cells.items():
             if cell.first_witness is not None:
                 ref = next(r for r in refs if r.sid == sid)
-                cell.shrunk = shrink_witness(prop, cell.first_witness.framework, ref, seed=seed)
+                cell.shrunk_witness = shrink_witness(prop, cell.first_witness, ref, seed=seed)
     return MatrixReport(
         cells=cells,
         semantics=tuple(r.sid for r in refs),
@@ -365,9 +370,9 @@ def matrix_records(report: MatrixReport) -> Iterator[dict]:
                 "inconclusive": cell.inconclusive,
                 "expected_satisfied": EXPECTED_SATISFACTION[(sid, prop)],
             }
-            if cell.first_witness is not None:
-                base = cell.shrunk if cell.shrunk is not None else cell.first_witness.framework
-                record["witness_apx"] = serialize_apx(base)
-                record["witness_pair"] = list(cell.first_witness.pair)
-                record["witness_key"] = framework_key(base)
+            witness = cell.shrunk_witness or cell.first_witness
+            if witness is not None:
+                record["witness_apx"] = serialize_apx(witness.framework)
+                record["witness_pair"] = list(witness.pair)
+                record["witness_key"] = framework_key(witness.framework)
             yield record

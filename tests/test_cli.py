@@ -10,9 +10,10 @@ import pytest
 
 from rankarg.catalog import example1, figure2
 from rankarg import cli, semantics
+from rankarg.axioms import check, parse_property
 from rankarg.cli import main, ranking_text
-from rankarg.framework import serialize_apx
-from rankarg.semantics import SemanticsRef
+from rankarg.framework import parse_apx, serialize_apx
+from rankarg.semantics import SemanticsRef, SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -321,6 +322,29 @@ def test_every_witness_is_its_cell_record_and_replays(tmp_path, capsys):
         assert "confirmed" in capsys.readouterr().out
 
 
+def test_every_witness_is_violated_at_its_recorded_pair(tmp_path, capsys):
+    # at seed 7 the first QP and AvsFD witnesses shrink to frameworks where
+    # the check names another pair than on the unshrunk framework
+    out_dir = tmp_path / "report"
+    assert main(["fuzz", "--out", str(out_dir), "--trials", "3", "--mt-trials", "3",
+                 "--semantics", "cat,tuples,mt", "--properties", "QP,AvsFD", "--seed", "7"]) == 0
+    paths = sorted((out_dir / "witnesses").glob("*.json"))
+    assert paths
+    for path in paths:
+        witness = json.loads(path.read_text())
+        verdict = check(parse_property(witness["property"]), parse_apx(witness["witness_apx"]),
+                        SemanticsRef(witness["semantics"], SolverConfig(**witness["config"])),
+                        seed=witness["seed"])
+        assert list(verdict.witness.pair) == witness["witness_pair"], path.stem
+    witness = json.loads(paths[0].read_text())
+    a, b = witness["witness_pair"]
+    paths[0].write_text(json.dumps({**witness, "witness_pair": [b, a]}))
+    capsys.readouterr()
+    assert main(["witness", str(paths[0])]) == 1
+    out = capsys.readouterr().out
+    assert "NOT reproduced" in out and f"at pair {a} over {b}, not at the recorded pair {b} over {a}" in out
+
+
 def test_fuzz_out_clears_an_earlier_runs_witnesses(tmp_path, capsys):
     # a grounded run leaves 22 witness files; a cat VP run into the same
     # directory writes none and must leave none of them behind
@@ -378,9 +402,11 @@ _GOOD_WITNESS = {"property": "VP", "semantics": "cat", "witness_apx": "arg(a).\n
     json.dumps({**_GOOD_WITNESS, "config": {"tol": float("nan")}}),
     json.dumps({**_GOOD_WITNESS, "config": {"epsilon": 10**400}}),
     json.dumps({"property": "VP", "semantics": "cat", "apx": "arg(a).\n"}),
+    json.dumps({**_GOOD_WITNESS, "witness_pair": ["a"]}),
+    json.dumps({**_GOOD_WITNESS, "witness_pair": "ab"}),
 ], ids=["empty-object", "not-json", "array", "null-config", "numeric-apx",
         "string-max-iter", "bool-mt-cap", "unknown-config-field", "nan-tol",
-        "huge-int-epsilon", "old-apx-key"])
+        "huge-int-epsilon", "old-apx-key", "one-name-pair", "string-pair"])
 def test_witness_rejects_garbage(tmp_path, capsys, body):
     bad = tmp_path / "w.json"
     bad.write_text(body)

@@ -111,8 +111,10 @@ def test_grounded_vp_over_exhaustive_small_spaces():
 
 def test_shrinking_is_a_deletion_fixpoint():
     sem = SemanticsRef("cat")
-    shrunk = shrink_witness(PropertyId.AVSFD, figure2(), sem)
-    assert check(PropertyId.AVSFD, shrunk, sem).status is VerdictStatus.VIOLATED
+    first = check(PropertyId.AVSFD, figure2(), sem).witness
+    witness = shrink_witness(PropertyId.AVSFD, first, sem)
+    shrunk = witness.framework
+    assert check(PropertyId.AVSFD, shrunk, sem).witness == witness
     for arg in shrunk.arguments:
         candidate = shrunk.without_argument(arg)
         if candidate.arguments:
