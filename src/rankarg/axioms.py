@@ -155,7 +155,6 @@ ABS_TRIALS = 5
 
 
 def _ranking_or_verdict(context, sem: SemanticsRef, framework: ArgFramework):
-    """(ranking, None), or (None, the verdict a refused solve stops at)."""
     try:
         return sem.ranking(framework), None
     except CyclicFrameworkError as exc:
@@ -175,20 +174,16 @@ def _pairs(names: Iterable[str]):
 class EvalContext:
     """What the checks of one framework share, across properties and semantics.
 
-    ``once(build, *args)`` is ``build(context, *args)``, built on the first
-    request and kept under (build, *args).  Everything the checks share goes
-    through it, each value from a module-level builder: the (ranking, stop
-    verdict) pair of each solve (``_ranking_or_verdict``; a refused solve is
-    kept too), the premise classes of the pair rules that do not read the
-    ranking, the attacker-set classes and their order per distinct ranking
-    (``_attacker_classes``, ``_attacker_order``), the branch roots
-    (``_branch_roots``), and the constructions the checks build from
-    ``framework``: the Abs renamings per seed (``_renamings``), F union a
-    fresh clone of F (``_doubled``), the grafts on it per (target, kind)
-    (``_graft``) and the connected components (``_components``).  The caller
-    creates one context per framework, hands it to every check of that
-    framework, and drops it when done, so memory does not grow with the
-    corpus.
+    ``once(build, *args)`` returns ``build(context, *args)``, built on the
+    first request and kept under (build, *args).  Everything the checks
+    share comes through it from a module-level builder: each solve's
+    (ranking, stop verdict) pair, a refused solve included, the premise
+    classes that do not read the ranking, the attacker-set classes and their
+    order per distinct ranking, the branch roots, the Abs renamings, F union
+    a fresh clone of F, the grafts on it and the connected components.  The
+    caller creates one context per framework, hands it to every check of
+    that framework, and drops it when done, so memory does not grow with
+    the corpus.
     """
 
     def __init__(self, framework: ArgFramework):

@@ -244,13 +244,12 @@ def cmd_witness(args) -> int:
     if verdict.status is not VerdictStatus.VIOLATED:
         print(f"NOT reproduced: verdict is {verdict.status.value}")
         return EXIT_VIOLATED
-    found = verdict.witness.pair
-    if pair is not None and tuple(pair) != found:
-        print(f"NOT reproduced: {prop.value} is violated under {sid} at pair {found[0]} over "
-              f"{found[1]}, not at the recorded pair {pair[0]} over {pair[1]}")
+    a, b = verdict.witness.pair
+    if pair not in (None, [a, b]):
+        print(f"NOT reproduced: {prop.value} is violated under {sid} at pair {a} over {b}, "
+              f"not at the recorded pair {pair[0]} over {pair[1]}")
         return EXIT_VIOLATED
-    print(f"confirmed: {prop.value} still violated under {sid} "
-          f"(pair {found[0]} over {found[1]})")
+    print(f"confirmed: {prop.value} still violated under {sid} (pair {a} over {b})")
     return EXIT_OK
 
 

@@ -94,13 +94,12 @@ class CellReport:
     not_applicable: int = 0
     inconclusive: int = 0
     first_witness: Witness | None = None
-    #: the witness of the last violated check of shrink_witness
     shrunk_witness: Witness | None = None
 
     @property
     def shrunk(self) -> ArgFramework | None:
         """The shrunk witness's framework, a deletion fixpoint."""
-        return None if self.shrunk_witness is None else self.shrunk_witness.framework
+        return self.shrunk_witness and self.shrunk_witness.framework
 
 
 @dataclass
@@ -124,10 +123,7 @@ def shrink_witness(prop: PropertyId, witness: Witness, sem: SemanticsRef,
                           (lambda f: f.attacks, ArgFramework.without_attack)):
         while True:
             for part in sorted(parts(witness.framework)):
-                candidate = remove(witness.framework, part)
-                if not candidate.arguments:
-                    continue
-                verdict = check(prop, candidate, sem, seed=seed)
+                verdict = check(prop, remove(witness.framework, part), sem, seed=seed)
                 if verdict.status is VerdictStatus.VIOLATED:
                     witness = verdict.witness
                     break
