@@ -219,7 +219,7 @@ def _witness_config(data) -> SolverConfig:
 def cmd_witness(args) -> int:
     """Replay a witness file: the cell's records.jsonl line plus the
     ``config`` and ``seed`` its fuzz run used.  A violation confirms the
-    witness only at the file's ``witness_pair``, where it records one."""
+    witness only at the file's ``witness_pair``."""
     try:
         payload = json.loads(Path(args.input).read_text())
     except (OSError, ValueError) as exc:
@@ -233,8 +233,8 @@ def cmd_witness(args) -> int:
     if type(seed) is not int:
         raise ApxError("bad witness file: 'seed' must be an integer")
     pair = payload.get("witness_pair")
-    if pair is not None and not (isinstance(pair, list) and len(pair) == 2
-                                 and all(isinstance(name, str) for name in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(name, str) for name in pair)):
         raise ApxError("bad witness file: 'witness_pair' must be a list of two strings")
     prop = parse_property(payload["property"])
     sid = payload["semantics"]
@@ -245,7 +245,7 @@ def cmd_witness(args) -> int:
         print(f"NOT reproduced: verdict is {verdict.status.value}")
         return EXIT_VIOLATED
     a, b = verdict.witness.pair
-    if pair not in (None, [a, b]):
+    if pair != [a, b]:
         print(f"NOT reproduced: {prop.value} is violated under {sid} at pair {a} over {b}, "
               f"not at the recorded pair {pair[0]} over {pair[1]}")
         return EXIT_VIOLATED

@@ -123,7 +123,10 @@ def shrink_witness(prop: PropertyId, witness: Witness, sem: SemanticsRef,
                           (lambda f: f.attacks, ArgFramework.without_attack)):
         while True:
             for part in sorted(parts(witness.framework)):
-                verdict = check(prop, remove(witness.framework, part), sem, seed=seed)
+                candidate = remove(witness.framework, part)
+                if not candidate.arguments:
+                    continue
+                verdict = check(prop, candidate, sem, seed=seed)
                 if verdict.status is VerdictStatus.VIOLATED:
                     witness = verdict.witness
                     break
