@@ -119,6 +119,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     command = " ".join(["scripts/bench_pairs.py"] + (argv if argv is not None else sys.argv[1:]))
     out = Path(args.out)
+    change = git("describe", "--always", "--dirty")  # before the first entry touches --out
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
         export(args.base, base_tree)
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
             entry = {
                 "date": datetime.date.today().isoformat(),
                 "base": git("rev-parse", "--short", args.base),
-                "change": git("describe", "--always", "--dirty"),
+                "change": change,
                 "machine": {k: machine.get(k)
                             for k in ("cores", "ram_gb", "python", "numpy", "blas")},
                 "command": command,

@@ -4,41 +4,43 @@
     python3 scripts/contract_diff.py --base 3adeb78
     python3 scripts/contract_diff.py --base 3adeb78 --seed 3
 
+Every CLI request runs through one runner, ``drive``: per batch of
+requests, one driver process in the base tree and one in this checkout,
+side by side, each with its own ``src`` on PYTHONPATH, call
+``rankarg.cli.main`` on each request in turn and record its exit status,
+stdout and stderr.  An exception that ``main`` lets out becomes the
+request's exit status, and every warning is shown each time it is raised.
+Each request's stderr is compared as well as its exit status and stdout.
+
 The base revision is exported once with ``git archive`` (bench_pairs.export)
 into a temporary directory.  For each seed in turn (0 and 7 without
-``--seed``), ``python -m rankarg.cli fuzz --seed N --out DIR`` runs in that
-tree and in this checkout, side by side, each with its own ``src`` on
-PYTHONPATH.  The two output directories (matrix.txt, records.jsonl and
-witnesses/) are compared file by file: every path that differs or exists
-on one side only is printed, then one summary line per seed.  Where
-records.jsonl or a witnesses/*.json differs, the line is per cell
-instead, named semantics|property, with the keys of its record that
+``--seed``), ``rankarg fuzz --seed N --out DIR`` runs in both trees.  The
+two output directories (matrix.txt, records.jsonl and witnesses/) are
+compared file by file, and the two runs' stderr too: every path that
+differs or exists on one side only is printed, then one summary line per
+seed.  Where records.jsonl or a witnesses/*.json differs, the line is per
+cell instead, named semantics|property, with the keys of its record that
 differ, e.g. ``differs: records.jsonl cat|AvsFD: witness_pair``.  One more
 run, ``fuzz --seed 0 --trials 300 --properties SCT,QP``, is compared the
 same way: it checks SCT without CT, so SCT builds its own attacker-set
 order in a context that CT never filled.  After each fuzz run, every
 ``witnesses/*.json`` of each tree's output is replayed with that tree's
-code (``rankarg witness FILE``, in one driver process per tree, as below);
-a replay that exits other than 0 counts as a difference.
+code (``rankarg witness FILE``); a replay that exits other than 0 counts
+as a difference.
 
-Then ``python -m rankarg.cli rank FILE SID --format json`` runs in both
-trees for each of the seven semantics on each rank input: data/*.apx,
+Then three batches run on each rank input: data/*.apx,
 tests/data/acyclic120.apx, six seeded ``gen_random`` frameworks of 60 to
 150 arguments at density 0.03 plus six acyclic ones at density 0.04 (the
 tuples inputs), and six seeded cyclic ones of 6 to 12 arguments, self-attacks
 allowed, at densities 0.15, 0.3 and 0.5 (within mt's default cap, and with
 games that have no saddle point, so mt's linear programs are compared too),
-all written once by this checkout.  Each request whose exit status, stdout
-or stderr differs is printed, then one summary line.
-
-Last, ``rankarg survey FILE`` runs on each of the same inputs, which
-compares the text rendering of every semantics' ranking (``cli.ranking_text``,
-with the chain and ``x ? y`` lines of a partial tuples order), and then
-``rankarg check FILE PROP SID`` for every property under every semantics.
-For each of the two, one driver process per tree calls ``rankarg.cli.main``
-for each request in turn (the two trees side by side), so the interpreter
-starts twice, not once per request.  Each request whose exit status or
-stdout differs is printed, then one summary line.
+all written once by this checkout.  They are ``rankarg rank FILE SID
+--format json`` for each of the seven semantics; ``rankarg survey FILE``,
+which compares the text rendering of every semantics' ranking
+(``cli.ranking_text``, with the chain and ``x ? y`` lines of a partial
+tuples order); and ``rankarg check FILE PROP SID`` for every property under
+every semantics.  Each request whose exit status, stdout or stderr differs
+is printed, then one summary line per batch.
 
 The exit status is 1 when any fuzz run, rank, survey or check request
 differs or a witness fails to replay, and 0 when every output is
@@ -67,14 +69,6 @@ from rankarg.semantics import SEMANTICS_IDS  # noqa: E402
 
 #: The property-subset fuzz run compared after the seeds.
 SUBSET_RUN = ("--seed", "0", "--trials", "300", "--properties", "SCT,QP")
-
-
-def start_fuzz(tree: Path, args: tuple[str, ...], out: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.Popen([sys.executable, "-m", "rankarg.cli", "fuzz", *args,
-                             "--out", str(out)],
-                            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                            text=True)
 
 
 def files_under(root: Path) -> set[str]:
@@ -127,25 +121,27 @@ def differences(base: Path, change: Path) -> list[str]:
 
 def compare_fuzz(base_tree: Path, args: tuple[str, ...],
                  tmp: Path) -> tuple[list[str], list[str], int, int]:
-    """(differing paths, failed witness replays, files written by this
-    checkout, witness replays made) of one fuzz run."""
+    """(differing paths and stderr, failed witness replays, files written
+    by this checkout, witness replays made) of one fuzz run."""
     label = "-".join(args)
     trees = {"base": base_tree, "change": ROOT}
     outs = {side: tmp / f"{side}-out{label}" for side in trees}
-    runs = {side: start_fuzz(tree, args, outs[side]) for side, tree in trees.items()}
-    errors = {side: proc.communicate()[1] for side, proc in runs.items()}
-    for side, proc in runs.items():
-        if proc.returncode:
-            raise SystemExit(f"fuzz {' '.join(args)} in the {side} tree exited "
-                             f"{proc.returncode}:\n{errors[side]}")
+    runs = [run for [run] in drive([(f"{side}-fuzz{label}", tree,
+                                     [["fuzz", *args, "--out", str(outs[side])]])
+                                    for side, tree in trees.items()], tmp)]
+    for side, (code, _, err) in zip(trees, runs):
+        if code != 0:
+            raise SystemExit(f"fuzz {' '.join(args)} in the {side} tree exited {code}:\n{err}")
     witnesses = {side: sorted(out.glob("witnesses/*.json")) for side, out in outs.items()}
     replays = drive([(f"{side}-witness{label}", trees[side],
                       [["witness", str(path)] for path in witnesses[side]]) for side in trees], tmp)
     failed = [f"not replayed: {side} witnesses/{path.name} (exit {code})"
               for side, outputs in zip(trees, replays)
-              for path, (code, _) in zip(witnesses[side], outputs) if code != 0]
-    return (differences(outs["base"], outs["change"]), failed, len(files_under(outs["change"])),
-            sum(map(len, witnesses.values())))
+              for path, (code, _, _) in zip(witnesses[side], outputs) if code != 0]
+    lines = differences(outs["base"], outs["change"])
+    if runs[0][2] != runs[1][2]:
+        lines.append("differs: fuzz stderr")
+    return lines, failed, len(files_under(outs["change"])), sum(map(len, witnesses.values()))
 
 
 RANK_SIZES = (60, 78, 96, 114, 132, 150)
@@ -170,47 +166,30 @@ def rank_inputs(into: Path) -> list[Path]:
     return files
 
 
-def start_rank(tree: Path, path: Path, sid: str) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.Popen([sys.executable, "-m", "rankarg.cli", "rank", str(path), sid,
-                             "--format", "json"],
-                            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-
-
-def compare_ranks(base_tree: Path, inputs: list[Path]) -> tuple[list[str], int]:
-    """(one line per differing rank request, requests made)."""
-    lines, requests = [], 0
-    for path in inputs:
-        for sid in SEMANTICS_IDS:
-            runs = [start_rank(tree, path, sid) for tree in (base_tree, ROOT)]
-            base, change = [(proc.communicate(), proc.returncode) for proc in runs]
-            requests += 1
-            if base != change:
-                lines.append(f"differs: rank {path.name} {sid} --format json "
-                             f"(exit {base[1]} vs {change[1]})")
-    return lines, requests
-
-
 #: Reads a JSON list of argument lists on stdin and prints, per list, the
-#: JSON [exit status, stdout] of ``rankarg.cli.main`` on it.
+#: JSON [exit status, stdout, stderr] of ``rankarg.cli.main`` on it; an
+#: exception that main lets out stands in for the exit status.
 CLI_DRIVER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, warnings
 from rankarg.cli import main
+warnings.simplefilter("always")
 for args in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(args)
         except SystemExit as exc:
             code = exc.code
-    print(json.dumps([code, out.getvalue()]), flush=True)
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
 
 def drive(jobs: list[tuple[str, Path, list[list[str]]]], tmp: Path) -> list[list[list]]:
-    """Per (label, tree, requests) job, the [exit status, stdout] of each
-    request; each job runs CLI_DRIVER in one process of its own tree, and
-    the jobs run side by side."""
+    """Per (label, tree, requests) job, the [exit status, stdout, stderr]
+    of each request; each job runs CLI_DRIVER in one process of its own
+    tree, and the jobs run side by side."""
     runs = []
     for label, tree, requests in jobs:
         (tmp / f"{label}.json").write_text(json.dumps(requests))
@@ -229,8 +208,8 @@ def drive(jobs: list[tuple[str, Path, list[list[str]]]], tmp: Path) -> list[list
 
 
 def compare_requests(base_tree: Path, requests: list[list[str]], tmp: Path) -> list[str]:
-    """One line per CLI request (``[command, FILE, ...]``) whose exit status
-    or stdout differs between the two trees."""
+    """One line per CLI request (``[command, FILE, ...]``) whose exit status,
+    stdout or stderr differs between the two trees."""
     command = requests[0][0]
     outputs = drive([(f"{side}-{command}", tree, requests)
                      for side, tree in (("base", base_tree), ("change", ROOT))], tmp)
@@ -260,14 +239,9 @@ def main(argv=None) -> int:
                        f"{replays} witness replays exit 0", flush=True)
             differ = differ or bool(lines or failed)
         inputs = rank_inputs(tmp)
-        lines, requests = compare_ranks(tmp / "base", inputs)
-        for line in lines:
-            print(line)
-        print(f"rank --format json: {len(lines)} of {requests} requests differ" if lines
-              else f"identical: {requests} rank --format json requests, {args.base} vs this checkout",
-              flush=True)
-        differ = differ or bool(lines)
         for command, requests in (
+                ("rank", [["rank", str(path), sid, "--format", "json"] for path in inputs
+                          for sid in SEMANTICS_IDS]),
                 ("survey", [["survey", str(path)] for path in inputs]),
                 ("check", [["check", str(path), prop.value, sid] for path in inputs
                            for sid in SEMANTICS_IDS for prop in PROPERTY_ORDER])):

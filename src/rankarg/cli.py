@@ -162,12 +162,7 @@ def _witness_stem(sid: str, prop: str) -> str:
 
 
 def cmd_fuzz(args) -> int:
-    try:
-        budget = FuzzBudget(seed=args.seed, random_trials=args.trials,
-                            mt_random_trials=args.mt_trials)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    budget = FuzzBudget(seed=args.seed, random_trials=args.trials, mt_random_trials=args.mt_trials)
     semantics = args.semantics.split(",") if args.semantics else list(SEMANTICS_IDS)
     for sid in semantics:
         lane_ref(sid, budget)  # an unknown name exits before --out is created
@@ -274,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verdict of one axiom on one framework")
     p.add_argument("input")
-    p.add_argument("property", help="Abs In VP DP CT SCT CP QP DDP SC +DB! +DB ^AB ^DB +AB Tot NaE AvsFD")
+    p.add_argument("property", help=" ".join(prop.value for prop in PROPERTY_ORDER))
     p.add_argument("semantics", choices=SEMANTICS_IDS)
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=0,

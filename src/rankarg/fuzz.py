@@ -266,12 +266,8 @@ def default_corpora(budget: FuzzBudget = FuzzBudget()) -> dict[str, list[ArgFram
     seeds = list(catalog.bundled().values())
     cheap = exhaustive + seeds + _random_corpus(
         budget, budget.random_trials, SIZE_RANGE, acyclic=False, seed_offset=11)
-    acyclic_seeds = [f for f in seeds if not has_cycle(f)]
-    tuples_corpus = (
-        [f for f in exhaustive if not has_cycle(f)]
-        + acyclic_seeds
-        + _random_corpus(budget, budget.random_trials, SIZE_RANGE, acyclic=True, seed_offset=23)
-    )
+    tuples_corpus = [f for f in exhaustive + seeds if not has_cycle(f)] + _random_corpus(
+        budget, budget.random_trials, SIZE_RANGE, acyclic=True, seed_offset=23)
     small_exhaustive = [f for n in (1, 2) for f in enumerate_all(n)]
     mt_corpus = (
         small_exhaustive
@@ -303,24 +299,20 @@ def run_default_matrix(budget: FuzzBudget = FuzzBudget(), *,
     once, as in build_matrix.
     """
     wanted = list(dict.fromkeys(semantics))
-    refs = {sid: lane_ref(sid, budget) for sid in wanted}  # an unknown name fails here
+    lanes: dict[str, list[SemanticsRef]] = {}
+    for sid in wanted:  # an unknown name fails here
+        lanes.setdefault(sid if sid in ("tuples", "mt") else "cheap", []).append(lane_ref(sid, budget))
     corpora = default_corpora(budget)
     props = list(dict.fromkeys(properties))
-    by_corpus: dict[str, list[str]] = {}
-    for sid in wanted:
-        by_corpus.setdefault(sid if sid in ("tuples", "mt") else "cheap", []).append(sid)
-    cells: dict[tuple[str, PropertyId], CellReport] = {}
-    lane_failures: dict[str, list[str]] = {sid: [] for sid in wanted}
-    for name, sids in by_corpus.items():
-        part = build_matrix(corpora[name], [refs[sid] for sid in sids], props,
-                            seed=budget.seed, dependency_rules=dependency_rules)
-        cells.update(part.cells)
-        for failure in part.dependency_failures:
-            # each failure starts with its lane's sid, as build_matrix writes it
-            lane_failures[failure.split(" ", 1)[0]].append(failure)
-    return MatrixReport({(sid, prop): cells[(sid, prop)] for sid in wanted for prop in props},
-                        tuple(wanted), tuple(props),
-                        [failure for sid in wanted for failure in lane_failures[sid]])
+    parts = [build_matrix(corpora[name], refs, props, seed=budget.seed,
+                          dependency_rules=dependency_rules) for name, refs in lanes.items()]
+    order = {sid: k for k, sid in enumerate(wanted)}
+    cells = sorted((item for part in parts for item in part.cells.items()),
+                   key=lambda item: order[item[0][0]])
+    # each failure starts with its lane's sid, as build_matrix writes it
+    failures = sorted((failure for part in parts for failure in part.dependency_failures),
+                      key=lambda failure: order[failure.split(" ", 1)[0]])
+    return MatrixReport(dict(cells), tuple(wanted), tuple(props), failures)
 
 
 def render_matrix_text(report: MatrixReport) -> str:

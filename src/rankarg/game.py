@@ -54,16 +54,11 @@ def pure_saddle(payoff: np.ndarray) -> tuple[int, int] | None:
 
 def saddle_solution(payoff: np.ndarray, i: int, j: int) -> GameSolution:
     """The solution of ``payoff`` at its pure saddle point (i, j): the entry
-    as value, one-hot strategies on row i and column j, gap 0.0 (each
-    strategy guarantees the entry exactly) and no pivot."""
+    as value, one-hot strategies on row i and column j and no pivot.  The
+    gap is computed by _solution from the two strategies; it is 0.0 at a
+    saddle, where each strategy guarantees the entry exactly."""
     m, n = payoff.shape
-    return GameSolution(
-        value=float(payoff[i, j]),
-        row_strategy=(0.0,) * i + (1.0,) + (0.0,) * (m - i - 1),
-        column_strategy=(0.0,) * j + (1.0,) + (0.0,) * (n - j - 1),
-        duality_gap=0.0,
-        pivots=0,
-    )
+    return _solution(payoff, float(payoff[i, j]), np.eye(m)[i], np.eye(n)[j], 0)
 
 
 def _solution(payoff: np.ndarray, value: float, p: np.ndarray, q: np.ndarray,
